@@ -88,7 +88,7 @@ mod segment;
 mod store;
 
 pub use gc::{GcOutcome, GcPolicy};
-pub use store::{CellCache, CellClaim, CellJoin, CellLead, PackOutcome};
+pub use store::{CellCache, PackOutcome};
 
 use crate::campaign::{CampaignError, CampaignSpec};
 use crate::policy::PolicyKind;

@@ -40,20 +40,15 @@ enum FlightOutcome {
     /// The leader published its result (boxed: the enum lives in a
     /// shared slot and `SimStats` is large).
     Done(Box<SimStats>),
-    /// The leader unwound without publishing (its simulation panicked);
-    /// joiners must simulate for themselves.
+    /// The leader dropped its lead without publishing (its simulation
+    /// failed or panicked); joiners must simulate for themselves.
     Abandoned,
 }
 
-/// How a caller of [`CellCache::claim`] obtains one cell: already cached,
-/// elected leader (must simulate and [`CellLead::publish`]), or joining
-/// another caller's in-flight simulation.
-///
-/// This is the non-blocking decomposition of
-/// [`CellCache::get_or_compute`]; the batched campaign engine uses it to
-/// decide, per cell, whether the cell needs a simulator lane at all —
-/// cached and in-flight cells never occupy one.
-pub enum CellClaim<'a> {
+/// How a caller of [`CellCache::get_or_compute`] obtains one cell: already
+/// cached, elected leader (must simulate and [`CellLead::publish`]), or
+/// joining another caller's in-flight simulation.
+enum CellClaim<'a> {
     /// The cell was cached (or already published by a concurrent leader);
     /// no simulation is needed.
     Hit(Box<SimStats>),
@@ -74,7 +69,7 @@ pub enum CellClaim<'a> {
 /// simulating.  A lead with no flight is a collision **bypass**: the digest
 /// is occupied by a *different* key document, so the caller simulates and
 /// inserts without touching the table.
-pub struct CellLead<'a> {
+struct CellLead<'a> {
     cache: &'a CellCache,
     key: CellKey,
     flight: Option<Arc<Flight>>,
@@ -86,12 +81,7 @@ impl CellLead<'_> {
     /// wall-clock since this lead was claimed, the cost-model observation),
     /// mark the flight done and wake every joiner.  Returns the stats for
     /// convenience.
-    ///
-    /// Under batched execution the recorded wall-clock spans the whole
-    /// lockstep batch the cell rode in, not just its own lane's work — an
-    /// upper bound that inflates every cell of a batch about equally, so
-    /// the cost-model's *ratios* (all the planner uses) survive.
-    pub fn publish(self, stats: SimStats) -> SimStats {
+    fn publish(self, stats: SimStats) -> SimStats {
         self.cache.dedupe_leads.fetch_add(1, Ordering::Relaxed);
         let elapsed = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.cache.insert(&self.key, &stats, elapsed);
@@ -119,7 +109,7 @@ impl Drop for CellLead<'_> {
 }
 
 /// A joiner's handle on another caller's in-flight simulation of one cell.
-pub struct CellJoin<'a> {
+struct CellJoin<'a> {
     cache: &'a CellCache,
     key: CellKey,
     flight: Arc<Flight>,
@@ -127,9 +117,9 @@ pub struct CellJoin<'a> {
 
 impl<'a> CellJoin<'a> {
     /// Block until the leader publishes and return a clone of its result.
-    /// If the leader abandoned the flight (its simulation panicked), the
-    /// joiner is handed a fresh [`CellLead`] and must simulate for itself.
-    pub fn wait(self) -> Result<SimStats, CellLead<'a>> {
+    /// If the leader abandoned the flight (its simulation failed or
+    /// panicked), the joiner is handed a fresh [`CellLead`] and must simulate for itself.
+    fn wait(self) -> Result<SimStats, CellLead<'a>> {
         let mut slot = lock(&self.flight.slot);
         loop {
             match &*slot {
@@ -678,12 +668,7 @@ impl CellCache {
     /// is returned immediately, a novel key elects this caller **leader**
     /// (simulate, then [`CellLead::publish`]), and a key already being
     /// simulated hands back a [`CellJoin`] to wait on.
-    ///
-    /// This is [`CellCache::get_or_compute`] with the simulation inverted
-    /// out: the batched campaign engine claims every cell of a row first,
-    /// routes only the leads into simulator lanes, and waits on joins after
-    /// the batch — so cached and deduped cells never occupy a lane.
-    pub fn claim(&self, key: &CellKey) -> CellClaim<'_> {
+    fn claim(&self, key: &CellKey) -> CellClaim<'_> {
         if let Some(hit) = self.lookup(key) {
             return CellClaim::Hit(Box::new(hit.stats));
         }
@@ -732,21 +717,26 @@ impl CellCache {
     /// campaigns cost one simulation per unique cell.  Degradations are
     /// always toward *more* simulation, never wrong data: a digest collision
     /// between two distinct in-flight keys bypasses the table, and a leader
-    /// that unwinds without publishing (panicking simulation) marks the
-    /// flight abandoned so joiners simulate for themselves.
+    /// that fails (`simulate` returns an error, which is passed through) or
+    /// unwinds (a panicking simulation) publishes nothing and marks the
+    /// flight abandoned, so joiners simulate for themselves.
     ///
     /// This is the one miss path the campaign engine's cached simulations
     /// funnel through; [`CacheStats::dedupe_leads`] counts exactly the
-    /// simulations executed here.
-    pub fn get_or_compute(&self, key: &CellKey, simulate: impl FnOnce() -> SimStats) -> SimStats {
-        match self.claim(key) {
+    /// simulations published here.
+    pub fn get_or_compute<E>(
+        &self,
+        key: &CellKey,
+        simulate: impl FnOnce() -> Result<SimStats, E>,
+    ) -> Result<SimStats, E> {
+        Ok(match self.claim(key) {
             CellClaim::Hit(stats) => *stats,
-            CellClaim::Lead(lead) => lead.publish(simulate()),
+            CellClaim::Lead(lead) => lead.publish(simulate()?),
             CellClaim::Join(join) => match join.wait() {
                 Ok(stats) => stats,
-                Err(lead) => lead.publish(simulate()),
+                Err(lead) => lead.publish(simulate()?),
             },
-        }
+        })
     }
 
     /// Activity counters since this handle was opened.

@@ -339,13 +339,33 @@ fn get_or_compute_hits_skip_simulation_and_misses_lead() {
         cycles: 77,
         ..SimStats::default()
     };
-    let produced = cache.get_or_compute(&key, || stats.clone());
-    assert_eq!(produced, stats);
-    let replayed = cache.get_or_compute(&key, || panic!("must not re-simulate a cached cell"));
-    assert_eq!(replayed, stats);
+    let produced = cache.get_or_compute(&key, || Ok::<_, ()>(stats.clone()));
+    assert_eq!(produced, Ok(stats.clone()));
+    let replayed =
+        cache.get_or_compute::<()>(&key, || panic!("must not re-simulate a cached cell"));
+    assert_eq!(replayed, Ok(stats));
     let s = cache.stats();
     assert_eq!((s.dedupe_leads, s.dedupe_joins), (1, 0));
     assert_eq!((s.hits, s.misses), (1, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_simulations_are_returned_and_never_cached() {
+    let dir = tmp_dir("singleflight_error");
+    let cache = CellCache::open(&dir).expect("open");
+    let key = sample_key(12);
+    assert_eq!(
+        cache.get_or_compute(&key, || Err("source failed")),
+        Err("source failed")
+    );
+    assert!(cache.lookup(&key).is_none(), "a failure inserts nothing");
+    // The failed lead left no flight behind: the next caller leads again.
+    let stats = cache
+        .get_or_compute(&key, || Ok::<_, ()>(SimStats::default()))
+        .expect("retry simulates");
+    assert_eq!(stats, SimStats::default());
+    assert_eq!(cache.stats().dedupe_leads, 1, "only the success publishes");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -365,12 +385,12 @@ fn concurrent_identical_keys_coalesce_onto_one_simulation() {
                     // Hold the flight open long enough that the other
                     // threads' lookups miss and join.
                     std::thread::sleep(std::time::Duration::from_millis(50));
-                    SimStats {
+                    Ok::<_, ()>(SimStats {
                         cycles: 42,
                         ..SimStats::default()
-                    }
+                    })
                 });
-                assert_eq!(stats.cycles, 42);
+                assert_eq!(stats.map(|s| s.cycles), Ok(42));
             });
         }
     });
@@ -403,21 +423,29 @@ fn colliding_inflight_keys_do_not_share_results() {
     let gate = std::sync::Barrier::new(2);
     std::thread::scope(|s| {
         s.spawn(|| {
-            cache.get_or_compute(&a, || {
-                gate.wait(); // a's flight is registered; let the forger probe
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                SimStats {
-                    cycles: 1,
-                    ..SimStats::default()
-                }
-            });
+            cache
+                .get_or_compute(&a, || {
+                    gate.wait(); // a's flight is registered; let the forger probe
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    Ok::<_, ()>(SimStats {
+                        cycles: 1,
+                        ..SimStats::default()
+                    })
+                })
+                .expect("a simulates");
         });
         gate.wait();
-        let forged_stats = cache.get_or_compute(&forged, || SimStats {
-            cycles: 2,
-            ..SimStats::default()
+        let forged_stats = cache.get_or_compute(&forged, || {
+            Ok::<_, ()>(SimStats {
+                cycles: 2,
+                ..SimStats::default()
+            })
         });
-        assert_eq!(forged_stats.cycles, 2, "collision must not share results");
+        assert_eq!(
+            forged_stats.map(|s| s.cycles),
+            Ok(2),
+            "collision must not share results"
+        );
     });
     assert_eq!(cache.stats().dedupe_leads, 2);
     let _ = std::fs::remove_dir_all(&dir);

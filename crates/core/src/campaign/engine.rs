@@ -1,45 +1,77 @@
-//! The campaign execution engine: [`CampaignRunner`] and the streaming
-//! grid engine every runner, shard and adapter path executes through.
+//! The campaign execution engine: [`CampaignRunner`] and the one row
+//! executor every runner, shard and adapter path runs its rows through.
 
 use super::spec::{
     report_wire_version, BaselineRun, CampaignCell, CampaignError, CampaignProgress,
     CampaignReport, CampaignSpec, ProgressHook, TraceSelector,
 };
-use crate::cache::{CellCache, CellClaim, CellJoin, CellKey, CellLead};
+use crate::cache::{CellCache, CellKey};
 use crate::experiment::{Experiment, ExperimentResult};
-use crate::policy::{PolicyKind, PolicyPool};
+use crate::policy::PolicyKind;
 use crate::scenario::DEFAULT_SCENARIO_NAME;
-use hc_predictors::PredictorConfig;
-use hc_sim::{BatchJob, SimStats, Simulator, SteeringPolicy};
-use hc_trace::{FileSource, PhasedSource, Trace, TraceSource};
+use hc_sim::{ExecContext, SimStats};
+use hc_trace::{FileSource, PhasedSource, Trace, TraceError, TraceSource};
 use rayon::prelude::*;
 use serde::Serialize;
 use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Resolve the serialized cache identity of every spec row up front, so the
 /// grid's per-row projection is infallible and each `File` header is read
 /// once per campaign instead of once per cell.
-pub(crate) fn resolve_row_docs(
-    traces: &[TraceSelector],
-) -> Result<Vec<serde::Value>, CampaignError> {
+fn resolve_row_docs(traces: &[TraceSelector]) -> Result<Vec<serde::Value>, CampaignError> {
     traces.iter().map(TraceSelector::cache_doc).collect()
 }
 
 /// One grid row's µop supply: a materialized trace (synthesized selectors
 /// and the borrowed-trace adapter paths) or a streaming [`TraceSource`]
-/// (`File` and `Phased` rows), which the engine feeds to the simulator a
-/// bounded window at a time.
-pub(crate) enum RowTrace<'a> {
+/// (`File` and `Phased` rows), which the simulator consumes a bounded
+/// window at a time.
+enum RowTrace<'a> {
     Materialized(Cow<'a, Trace>),
     Streamed(Box<dyn TraceSource + Send>),
 }
 
+impl RowTrace<'_> {
+    /// The row's trace name and workload category.
+    fn identity(&self) -> (String, Option<String>) {
+        match self {
+            RowTrace::Materialized(trace) => (trace.name.clone(), trace.category.clone()),
+            RowTrace::Streamed(source) => {
+                let header = source.header();
+                (header.name.clone(), header.category.clone())
+            }
+        }
+    }
+
+    /// Simulate one column of this row: `kind` on `experiment`'s machine
+    /// after `warmup_runs` priming passes (none for the baseline).  The two
+    /// representations differ only here — a materialized row replays its
+    /// trace, a streamed row rewinds its source per pass — and produce
+    /// bit-identical stats for the same µops.
+    fn simulate(
+        &mut self,
+        ctx: &mut ExecContext,
+        experiment: &Experiment,
+        kind: PolicyKind,
+        warmup_runs: usize,
+    ) -> Result<SimStats, TraceError> {
+        match self {
+            RowTrace::Materialized(trace) => {
+                Ok(experiment.run_policy_warmed_with(ctx, trace, kind, warmup_runs))
+            }
+            RowTrace::Streamed(source) => {
+                experiment.run_policy_warmed_source(ctx, source.as_mut(), kind, warmup_runs)
+            }
+        }
+    }
+}
+
 /// Open one selector's µop supply.
-pub(crate) fn make_row_trace(
+fn make_row_trace(
     selector: &TraceSelector,
     trace_len: usize,
 ) -> Result<RowTrace<'static>, CampaignError> {
@@ -60,7 +92,6 @@ pub(crate) fn make_row_trace(
 pub struct CampaignRunner {
     progress: Option<ProgressHook>,
     cache: Option<Arc<CellCache>>,
-    batch: Option<usize>,
 }
 
 impl fmt::Debug for CampaignRunner {
@@ -71,7 +102,6 @@ impl fmt::Debug for CampaignRunner {
                 "cache",
                 &self.cache.as_ref().map(|c| c.root().to_path_buf()),
             )
-            .field("batch", &self.batch)
             .finish()
     }
 }
@@ -82,13 +112,15 @@ impl CampaignRunner {
         CampaignRunner::default()
     }
 
-    /// Attach a progress hook, called once per finished cell (possibly from
-    /// worker threads).
+    /// Attach a progress hook, called once per finished cell from the
+    /// worker thread that finished it.  Calls are serialized: the hook never
+    /// runs on two threads at once, and `completed_cells` increases by one
+    /// per call.
     ///
     /// Hook delivery is isolated from the campaign: a hook that **panics**
-    /// is disabled for the rest of the run (its panic is caught per call)
-    /// and the campaign completes normally — observation must never poison
-    /// the runner.
+    /// is disabled for the rest of the run (its panic is caught, and it is
+    /// never called again) and the campaign completes normally — observation
+    /// must never poison the runner.
     pub fn with_progress(
         mut self,
         hook: impl Fn(&CampaignProgress) + Send + Sync + 'static,
@@ -106,16 +138,6 @@ impl CampaignRunner {
         self
     }
 
-    /// Set the number of simulator lanes each worker steps in lockstep
-    /// (see [`hc_sim::BatchContext`]).  `1` forces the scalar engine;
-    /// without this call the width is sized automatically from the grid
-    /// shape.  Reports are **byte-identical at every batch width** — lanes
-    /// never interact — so this is purely a throughput knob.
-    pub fn with_batch(mut self, lanes: usize) -> CampaignRunner {
-        self.batch = Some(lanes);
-        self
-    }
-
     /// Validate and execute a campaign.
     ///
     /// The grid **streams**: each worker synthesizes one row's trace from its
@@ -130,37 +152,10 @@ impl CampaignRunner {
     /// `traces × S × N`.
     pub fn run(&self, spec: &CampaignSpec) -> Result<CampaignReport, CampaignError> {
         spec.validate()?;
-        let scenarios = scenario_experiments(spec)?;
-        // Rows run as indices into the spec's trace list so their cache
-        // identities (content-addressed for `File` rows) resolve once, up
-        // front and fallibly, instead of per cell inside the grid.
-        let row_docs = resolve_row_docs(&spec.traces)?;
         let rows: Vec<usize> = (0..spec.traces.len()).collect();
-        let generation_count = AtomicUsize::new(0);
-        let row_doc = |&i: &usize| row_docs[i].clone();
-        let grid_cache = self
-            .cache
-            .as_deref()
-            .map(|cache| GridCache::new(cache, spec, &row_doc));
-        let grid = run_grid_streaming(
-            &scenarios,
-            &rows,
-            |&i| {
-                generation_count.fetch_add(1, Ordering::Relaxed);
-                make_row_trace(&spec.traces[i], spec.trace_len)
-            },
-            &spec.policies,
-            spec.warmup_runs,
-            spec.include_baseline,
-            self.progress.as_ref(),
-            grid_cache.as_ref(),
-            resolve_batch(
-                self.batch,
-                scenarios.len(),
-                &spec.policies,
-                spec.include_baseline,
-            ),
-        )?;
+        let progress = Progress::new(self.progress.clone(), spec.cell_count());
+        let (grid, trace_generations) =
+            run_spec_rows(spec, &rows, &progress, self.cache.as_deref())?;
         let baseline_runs = grid.baseline_runs;
         let (baselines, cells) = grid.into_flat_parts();
         Ok(CampaignReport {
@@ -170,26 +165,26 @@ impl CampaignRunner {
             baselines,
             cells,
             baseline_runs,
-            trace_generations: generation_count.load(Ordering::Relaxed),
+            trace_generations,
         })
     }
 }
 
 /// One scenario's ready-to-run machinery: its report key and the validated
 /// [`Experiment`] (helper + baseline simulators, predictor sizing).
-pub(crate) struct ScenarioExperiment {
+struct ScenarioExperiment {
     /// Report key for this scenario's cells and baselines; `None` on the
     /// legacy single-default-scenario path, which keeps cells byte-identical
     /// to pre-scenario reports.
-    pub(crate) key: Option<String>,
-    pub(crate) experiment: Experiment,
+    key: Option<String>,
+    experiment: Experiment,
 }
 
 impl ScenarioExperiment {
     /// Wrap one bare experiment as the anonymous legacy scenario — the shape
     /// every pre-scenario adapter path ([`Experiment::run_many`],
     /// `SuiteRunner`) runs through.
-    pub(crate) fn legacy(experiment: Experiment) -> ScenarioExperiment {
+    fn legacy(experiment: Experiment) -> ScenarioExperiment {
         ScenarioExperiment {
             key: None,
             experiment,
@@ -204,9 +199,7 @@ impl ScenarioExperiment {
 
 /// Build one [`ScenarioExperiment`] per spec scenario.  On the legacy
 /// single-default-scenario path cells stay untagged.
-pub(crate) fn scenario_experiments(
-    spec: &CampaignSpec,
-) -> Result<Vec<ScenarioExperiment>, CampaignError> {
+fn scenario_experiments(spec: &CampaignSpec) -> Result<Vec<ScenarioExperiment>, CampaignError> {
     let tag_cells = !spec.is_single_default_scenario();
     spec.scenarios
         .iter()
@@ -222,7 +215,7 @@ pub(crate) fn scenario_experiments(
         .collect()
 }
 
-/// The raw output of [`run_grid`]: one entry per trace × scenario, keeping
+/// The raw output of the grid engine: one entry per trace × scenario, keeping
 /// each (trace, scenario)'s baseline next to its cells so joins are
 /// positional — correct even when two traces share a name (the adapter paths
 /// accept arbitrary trace lists; only [`CampaignSpec::validate`] enforces
@@ -278,773 +271,296 @@ impl Grid {
     }
 }
 
-/// The shared single-machine grid engine behind [`Experiment::run_many`]
-/// and [`crate::suite::SuiteRunner`], over already-materialized traces.
-pub(crate) fn run_grid(
-    experiment: &Experiment,
-    traces: &[Trace],
-    policies: &[PolicyKind],
-    warmup_runs: usize,
-    include_baseline: bool,
-    progress: Option<&ProgressHook>,
-) -> Grid {
-    run_grid_streaming(
-        std::slice::from_ref(&ScenarioExperiment::legacy(experiment.clone())),
-        traces,
-        |t| Ok(RowTrace::Materialized(Cow::Borrowed(t))),
-        policies,
-        warmup_runs,
-        include_baseline,
+/// Run `rows` (indices into `spec.traces`) of a validated spec through the
+/// grid engine — the shared body of [`CampaignRunner::run`] and
+/// [`crate::shard::CampaignShard::run_with`].  Returns the grid and the
+/// number of traces generated (one per row).
+pub(crate) fn run_spec_rows(
+    spec: &CampaignSpec,
+    rows: &[usize],
+    progress: &Progress,
+    cache: Option<&CellCache>,
+) -> Result<(Grid, usize), CampaignError> {
+    let scenarios = scenario_experiments(spec)?;
+    // Rows run as indices into the spec's trace list so their cache
+    // identities (content-addressed for `File` rows) resolve once, up front
+    // and fallibly, instead of per cell inside the grid.
+    let row_docs = resolve_row_docs(&spec.traces)?;
+    let grid_cache = cache.map(|cache| GridCache::new(cache, spec, &row_docs));
+    let columns = GridColumns {
+        scenarios: &scenarios,
+        policies: &spec.policies,
+        warmup_runs: spec.warmup_runs,
+        include_baseline: spec.include_baseline,
+    };
+    let generations = AtomicUsize::new(0);
+    let grid = run_grid_streaming(
+        &columns,
+        rows,
+        |i| {
+            generations.fetch_add(1, Ordering::Relaxed);
+            make_row_trace(&spec.traces[i], spec.trace_len)
+        },
         progress,
+        grid_cache.as_ref(),
+    )?;
+    Ok((grid, generations.load(Ordering::Relaxed)))
+}
+
+/// The single-machine adapter grid behind [`Experiment::run_many`] and
+/// [`crate::suite::SuiteRunner`]: `row_count` rows whose traces `trace`
+/// materializes (borrowed or synthesized), one baseline per row, no warmup,
+/// no cache and no progress hook.
+pub(crate) fn run_grid<'t>(
+    experiment: &Experiment,
+    row_count: usize,
+    trace: impl Fn(usize) -> Cow<'t, Trace> + Sync,
+    policies: &[PolicyKind],
+) -> Grid {
+    let scenario = ScenarioExperiment::legacy(experiment.clone());
+    let columns = GridColumns {
+        scenarios: std::slice::from_ref(&scenario),
+        policies,
+        warmup_runs: 0,
+        include_baseline: true,
+    };
+    let rows: Vec<usize> = (0..row_count).collect();
+    run_grid_streaming(
+        &columns,
+        &rows,
+        |i| Ok(RowTrace::Materialized(trace(i))),
+        &Progress::new(None, 0),
         // Materialized-trace adapter paths carry no declarative trace
         // identity to key a cache on, so they never cache.
         None,
-        resolve_batch(None, 1, policies, include_baseline),
     )
     .expect("materialized rows cannot fail")
 }
 
-/// Maximum lane width the automatic batch sizing picks.  Wider batches keep
-/// amortizing per-cycle dispatch overhead, but on the benchmarked reference
-/// machine the uops/sec curve is flat past four lanes while per-worker
-/// memory keeps growing (each lane owns a full window slab + event wheel),
-/// so auto stops here; explicit `--batch N` overrides are uncapped.
-const MAX_AUTO_BATCH: usize = 4;
-
-/// Resolve a requested batch width: an explicit request is clamped to at
-/// least one lane, and `None` ("auto") sizes the batch to the number of
-/// *simulated* columns per row — every scenario's baseline plus its
-/// non-baseline policy cells (the `baseline` policy column clones the
-/// scenario baseline and never occupies a lane) — capped at
-/// [`MAX_AUTO_BATCH`].  Reports are byte-identical at every width, so this
-/// only chooses a throughput/memory trade-off.
-pub(crate) fn resolve_batch(
-    requested: Option<usize>,
-    scenario_count: usize,
-    policies: &[PolicyKind],
+/// The column axes of one grid: every scenario × (its baseline, then each
+/// policy), with the warmup protocol.
+struct GridColumns<'a> {
+    scenarios: &'a [ScenarioExperiment],
+    policies: &'a [PolicyKind],
+    warmup_runs: usize,
+    /// Whether to report a baseline per (row, scenario).  The baseline is
+    /// also simulated whenever the `baseline` policy column needs it.
     include_baseline: bool,
-) -> usize {
-    if let Some(lanes) = requested {
-        return lanes.max(1);
-    }
-    let baseline_needed = include_baseline || policies.contains(&PolicyKind::Baseline);
-    let sim_columns = policies
-        .iter()
-        .filter(|&&k| k != PolicyKind::Baseline)
-        .count()
-        + usize::from(baseline_needed);
-    (scenario_count.max(1) * sim_columns).clamp(1, MAX_AUTO_BATCH)
 }
 
-/// The cache binding of one streaming-grid invocation: the [`CellCache`]
-/// plus everything needed to derive each cell's content-addressed key —
-/// the serialized scenario axis (precomputed once, aligned with the
-/// `scenarios` slice) and a projection from a row to its serialized trace
-/// identity.
-pub(crate) struct GridCache<'a, R: ?Sized> {
+impl GridColumns<'_> {
+    fn baseline_needed(&self) -> bool {
+        self.include_baseline || self.policies.contains(&PolicyKind::Baseline)
+    }
+}
+
+/// The cache binding of one grid invocation: the [`CellCache`] plus
+/// everything needed to derive each cell's content-addressed key — the
+/// serialized scenario axis (aligned with the grid's scenarios) and each
+/// spec row's serialized trace identity.
+struct GridCache<'a> {
     cache: &'a CellCache,
     trace_len: usize,
     warmup_runs: usize,
     scenario_docs: Vec<serde::Value>,
-    row_doc: &'a (dyn Fn(&R) -> serde::Value + Sync),
+    row_docs: &'a [serde::Value],
 }
 
-impl<'a, R: ?Sized> GridCache<'a, R> {
-    /// Bind `cache` to one campaign's key space.
-    pub(crate) fn new(
+impl<'a> GridCache<'a> {
+    /// Bind `cache` to one campaign's key space; `row_docs` is indexed by
+    /// spec row (see [`resolve_row_docs`]).
+    fn new(
         cache: &'a CellCache,
         spec: &CampaignSpec,
-        row_doc: &'a (dyn Fn(&R) -> serde::Value + Sync),
-    ) -> GridCache<'a, R> {
+        row_docs: &'a [serde::Value],
+    ) -> GridCache<'a> {
         GridCache {
             cache,
             trace_len: spec.trace_len,
             warmup_runs: spec.warmup_runs,
             scenario_docs: spec.scenarios.iter().map(Serialize::to_value).collect(),
-            row_doc,
+            row_docs,
+        }
+    }
+
+    /// The key of column `kind` of spec row `row` under scenario
+    /// `scenario`; `PolicyKind::Baseline` names the scenario baseline.
+    fn key(&self, row: usize, scenario: usize, kind: PolicyKind) -> CellKey {
+        let (row_doc, scenario_doc) = (&self.row_docs[row], &self.scenario_docs[scenario]);
+        if kind == PolicyKind::Baseline {
+            CellKey::baseline(row_doc, self.trace_len, scenario_doc)
+        } else {
+            CellKey::cell(
+                row_doc,
+                self.trace_len,
+                self.warmup_runs,
+                scenario_doc,
+                kind.name(),
+            )
         }
     }
 }
 
-/// Restore a cell from the cache or simulate it, recording the fresh run's
-/// wall-clock cost into the cache for the cost-model planner.  Misses go
-/// through the cache's keyed singleflight
-/// ([`CellCache::get_or_compute`]), so concurrent campaigns — e.g. N
-/// requests in flight inside one `hc_serve` daemon — that need the same
-/// cell coalesce onto a single simulation.
-fn run_cached(cache: &CellCache, key: &CellKey, simulate: impl FnOnce() -> SimStats) -> SimStats {
-    cache.get_or_compute(key, simulate)
+/// The progress state of one run: the user hook, the cells completed so
+/// far, the total, and whether the hook has been disabled.  One value is
+/// shared by every worker of a run — and by every shard of a sharded run,
+/// so counts are run-global and a hook that panics is disabled for the
+/// whole run.
+pub(crate) struct Progress {
+    hook: Option<ProgressHook>,
+    total_cells: usize,
+    state: Mutex<ProgressState>,
 }
 
-/// Deliver one progress event, isolating the engine from a panicking user
-/// hook: the panic is caught and the hook is disabled for the rest of the
-/// run, so observation can never abort (or poison state shared with) the
-/// campaign.  `AssertUnwindSafe` is sound here because the engine never
-/// touches hook-owned state afterwards — the hook is simply not called
-/// again.
-fn deliver_progress(hook: &ProgressHook, disabled: &AtomicBool, progress: &CampaignProgress) {
-    if disabled.load(Ordering::Relaxed) {
-        return;
+#[derive(Default)]
+struct ProgressState {
+    completed_cells: usize,
+    hook_disabled: bool,
+}
+
+impl Progress {
+    pub(crate) fn new(hook: Option<ProgressHook>, total_cells: usize) -> Progress {
+        Progress {
+            hook,
+            total_cells,
+            state: Mutex::default(),
+        }
     }
-    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(progress))).is_err() {
-        disabled.store(true, Ordering::Relaxed);
+
+    /// Count `cells` finished without the engine (resumed shards) without
+    /// calling the hook for them.
+    pub(crate) fn skip(&self, cells: usize) {
+        self.lock().completed_cells += cells;
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, ProgressState> {
+        // Every update is a single field write, so the state is valid even
+        // if a holder panicked (hook panics are caught inside the lock).
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Deliver one finished cell to the hook.  The state lock is held
+    /// across the call, so hook calls are serialized and a hook that panics
+    /// is disabled before any other worker can call it again.  The panic is
+    /// caught, so observation can never abort the campaign;
+    /// `AssertUnwindSafe` is sound because the engine never touches
+    /// hook-owned state afterwards — the hook is simply not called again.
+    fn cell_done(&self, cell: &CampaignCell, scenario: &str) {
+        let Some(hook) = &self.hook else { return };
+        let mut state = self.lock();
+        state.completed_cells += 1;
+        if state.hook_disabled {
+            return;
+        }
+        let progress = CampaignProgress {
+            completed_cells: state.completed_cells,
+            total_cells: self.total_cells,
+            policy: cell.policy.clone(),
+            trace: cell.trace.clone(),
+            scenario: scenario.to_string(),
+        };
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(&progress))).is_err() {
+            state.hook_disabled = true;
+        }
     }
 }
 
-/// The streaming grid engine: rows fan out in parallel and each worker
-/// *materializes one row's trace at a time* via `make_trace`, runs every
-/// scenario × policy column against it, then drops it.  Peak memory is
-/// O(worker threads) traces regardless of row count — this is what lets the
-/// full 409-trace Table 2 suite run as one campaign.  Each (trace,
-/// scenario)'s baseline is simulated at most once and shared across
-/// policies; the trace itself is synthesized once and shared across
-/// *scenarios* too.
-///
-/// `make_trace` returns a [`Cow`] so borrowed-trace callers ([`run_grid`])
-/// pay no clone while streaming callers hand over ownership.
-///
-/// With a [`GridCache`] bound, every simulation is first looked up by its
-/// content-addressed key and only executed on a miss (fresh results are
-/// inserted, with their wall-clock cost, for later runs and the cost-model
-/// planner).  The trace itself is still synthesized per row even on a
-/// full-hit row — synthesis is cheap, and it keeps the report's
-/// `trace_generations` counter (and with it the report bytes) identical
-/// between cold and warm runs; the cache elides *simulation*, not
-/// synthesis.
-/// With `batch > 1`, each worker instead owns a [`hc_sim::BatchContext`] of
-/// `batch` lanes plus a [`PolicyPool`], and steps every *fresh* simulation
-/// of a row — across all its scenarios and policy columns — in lockstep.
-/// Cached cells and cells another worker is already simulating (the cache's
-/// keyed singleflight) **never occupy a lane**: they are claimed up front
-/// via [`CellCache::claim`] and resolved without simulation.  Lanes never
-/// interact, so the produced grid is byte-identical at every batch width.
+/// The grid engine: rows fan out in parallel over the thread pool, and each
+/// worker opens one row's trace at a time via `make_trace`, runs it through
+/// [`run_row`], then drops it.  Peak memory is O(worker threads) traces
+/// regardless of row count — this is what lets the full 409-trace Table 2
+/// suite run as one campaign.  One [`ExecContext`] per worker is reused for
+/// every run that worker performs, including runs under different scenario
+/// machines (each run returns it to a cold state first), so a campaign
+/// costs O(threads) simulator arenas instead of O(cells), with results
+/// bit-identical to fresh contexts.
 ///
 /// `make_trace` is fallible: `File` rows can hit an unreadable or corrupt
-/// recording.  The parallel fan-out may surface several failures; the *first
-/// in row order* is returned, so failures are reproducible.  Streamed rows
-/// ([`RowTrace::Streamed`]) never occupy batch lanes — lockstep lanes need
-/// random access to one shared materialized trace, while a streamed row
-/// owns a single forward cursor — they run scalar on the worker's fallback
-/// context instead.  Scalar and batched execution are bit-identical (the
-/// property the batched path is built on), so a grid mixing streamed and
-/// materialized rows is still byte-identical at every batch width.
-#[allow(clippy::too_many_arguments)] // pub(crate) engine; every caller is in this crate.
-pub(crate) fn run_grid_streaming<R, F>(
-    scenarios: &[ScenarioExperiment],
-    rows: &[R],
-    make_trace: F,
-    policies: &[PolicyKind],
-    warmup_runs: usize,
-    include_baseline: bool,
-    progress: Option<&ProgressHook>,
-    cache: Option<&GridCache<'_, R>>,
-    batch: usize,
-) -> Result<Grid, CampaignError>
-where
-    R: Sync,
-    F: for<'r> Fn(&'r R) -> Result<RowTrace<'r>, CampaignError> + Sync,
-{
-    let total_cells = rows.len() * policies.len() * scenarios.len();
-    let completed = AtomicUsize::new(0);
-    let hook_disabled = AtomicBool::new(false);
-    let baseline_count = AtomicUsize::new(0);
-    let baseline_needed = include_baseline || policies.contains(&PolicyKind::Baseline);
-
-    // Sequence per-row results into a grid, surfacing the first error in
-    // row order.
-    let sequence = |rows_out: Vec<Result<GridRow, CampaignError>>| -> Result<Grid, CampaignError> {
-        let mut per_trace = Vec::with_capacity(rows_out.len());
-        for row in rows_out {
-            per_trace.push(row?);
-        }
-        Ok(Grid {
-            per_trace,
-            baseline_runs: baseline_count.load(Ordering::Relaxed),
-        })
-    };
-
-    if batch > 1 {
-        let rows_out: Vec<Result<GridRow, CampaignError>> = rows
-            .par_iter()
-            .map_init(
-                || BatchWorker::new(batch),
-                |worker, row| {
-                    let row_doc = cache.map(|gc| (gc.row_doc)(row));
-                    let binding = match (cache, &row_doc) {
-                        (Some(gc), Some(doc)) => Some(CacheBinding {
-                            cache: gc.cache,
-                            trace_len: gc.trace_len,
-                            warmup_runs: gc.warmup_runs,
-                            scenario_docs: &gc.scenario_docs,
-                            row_doc: doc,
-                        }),
-                        _ => None,
-                    };
-                    match make_trace(row)? {
-                        RowTrace::Materialized(trace) => Ok(run_row_batched(
-                            worker,
-                            scenarios,
-                            &trace,
-                            policies,
-                            warmup_runs,
-                            baseline_needed,
-                            binding,
-                            progress,
-                            &hook_disabled,
-                            &completed,
-                            total_cells,
-                            &baseline_count,
-                        )),
-                        RowTrace::Streamed(mut source) => run_row_streamed(
-                            &mut worker.scalar,
-                            source.as_mut(),
-                            scenarios,
-                            policies,
-                            warmup_runs,
-                            baseline_needed,
-                            binding,
-                            progress,
-                            &hook_disabled,
-                            &completed,
-                            total_cells,
-                            &baseline_count,
-                        ),
-                    }
-                },
-            )
-            .collect();
-        return sequence(rows_out);
-    }
-
-    // One `ExecContext` per worker thread, reused across every run that
-    // worker performs — including runs under different scenario machines
-    // (`ExecContext::prepare` returns it to a cold state per run): a
-    // campaign costs O(threads) simulator arenas instead of O(cells), and
-    // results stay bit-identical to fresh contexts.
+/// recording.  The parallel fan-out may surface several failures; the
+/// *first in row order* is returned, so failures are reproducible.
+fn run_grid_streaming<'t>(
+    columns: &GridColumns<'_>,
+    rows: &[usize],
+    make_trace: impl Fn(usize) -> Result<RowTrace<'t>, CampaignError> + Sync,
+    progress: &Progress,
+    cache: Option<&GridCache<'_>>,
+) -> Result<Grid, CampaignError> {
     let rows_out: Vec<Result<GridRow, CampaignError>> = rows
         .par_iter()
-        .map_init(hc_sim::ExecContext::new, |ctx, row| {
-            let row_doc = cache.map(|gc| (gc.row_doc)(row));
-            let trace = match make_trace(row)? {
-                RowTrace::Materialized(trace) => trace,
-                RowTrace::Streamed(mut source) => {
-                    let binding = match (cache, &row_doc) {
-                        (Some(gc), Some(doc)) => Some(CacheBinding {
-                            cache: gc.cache,
-                            trace_len: gc.trace_len,
-                            warmup_runs: gc.warmup_runs,
-                            scenario_docs: &gc.scenario_docs,
-                            row_doc: doc,
-                        }),
-                        _ => None,
-                    };
-                    return run_row_streamed(
-                        ctx,
-                        source.as_mut(),
-                        scenarios,
-                        policies,
-                        warmup_runs,
-                        baseline_needed,
-                        binding,
-                        progress,
-                        &hook_disabled,
-                        &completed,
-                        total_cells,
-                        &baseline_count,
-                    );
-                }
-            };
-            let trace: &Trace = &trace;
-            Ok(scenarios
-                .iter()
-                .enumerate()
-                .map(|(scenario_index, scenario)| {
-                    let baseline = if baseline_needed {
-                        baseline_count.fetch_add(1, Ordering::Relaxed);
-                        let stats = match (cache, &row_doc) {
-                            (Some(gc), Some(doc)) => run_cached(
-                                gc.cache,
-                                &CellKey::baseline(
-                                    doc,
-                                    gc.trace_len,
-                                    &gc.scenario_docs[scenario_index],
-                                ),
-                                || scenario.experiment.run_baseline_with(ctx, trace),
-                            ),
-                            _ => scenario.experiment.run_baseline_with(ctx, trace),
-                        };
-                        Some(BaselineRun {
-                            trace: trace.name.clone(),
-                            category: trace.category.clone(),
-                            scenario: scenario.key.clone(),
-                            stats,
-                        })
-                    } else {
-                        None
-                    };
-                    let cells = policies
-                        .iter()
-                        .map(|&kind| {
-                            let stats = match (&baseline, kind) {
-                                (Some(b), PolicyKind::Baseline) => b.stats.clone(),
-                                _ => match (cache, &row_doc) {
-                                    (Some(gc), Some(doc)) if kind != PolicyKind::Baseline => {
-                                        run_cached(
-                                            gc.cache,
-                                            &CellKey::cell(
-                                                doc,
-                                                gc.trace_len,
-                                                gc.warmup_runs,
-                                                &gc.scenario_docs[scenario_index],
-                                                kind.name(),
-                                            ),
-                                            || {
-                                                scenario.experiment.run_policy_warmed_with(
-                                                    ctx,
-                                                    trace,
-                                                    kind,
-                                                    warmup_runs,
-                                                )
-                                            },
-                                        )
-                                    }
-                                    _ => scenario.experiment.run_policy_warmed_with(
-                                        ctx,
-                                        trace,
-                                        kind,
-                                        warmup_runs,
-                                    ),
-                                },
-                            };
-                            let cell = CampaignCell {
-                                policy: kind.name().to_string(),
-                                trace: trace.name.clone(),
-                                category: trace.category.clone(),
-                                scenario: scenario.key.clone(),
-                                stats,
-                            };
-                            if let Some(hook) = progress {
-                                deliver_progress(
-                                    hook,
-                                    &hook_disabled,
-                                    &CampaignProgress {
-                                        completed_cells: completed.fetch_add(1, Ordering::Relaxed)
-                                            + 1,
-                                        total_cells,
-                                        policy: cell.policy.clone(),
-                                        trace: cell.trace.clone(),
-                                        scenario: scenario.progress_key().to_string(),
-                                    },
-                                );
-                            }
-                            cell
-                        })
-                        .collect();
-                    (baseline, cells)
-                })
-                .collect())
+        .map_init(ExecContext::new, |ctx, &row| {
+            run_row(ctx, columns, row, make_trace(row)?, progress, cache)
         })
         .collect();
-
-    sequence(rows_out)
+    let per_trace = rows_out.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let baseline_runs = if columns.baseline_needed() {
+        per_trace.len() * columns.scenarios.len()
+    } else {
+        0
+    };
+    Ok(Grid {
+        per_trace,
+        baseline_runs,
+    })
 }
 
-/// Run one streamed row of the grid scalar: every scenario × policy column
-/// replays the row's [`TraceSource`] through [`Simulator::run_source`], in
-/// exactly the materialized scalar path's order.  Columns still go through
-/// the cache's claim protocol, so streamed rows coalesce with concurrent
-/// campaigns; a source failure while leading a flight drops the lead
-/// (handing the flight to a joiner) and aborts the row with a typed error.
-#[allow(clippy::too_many_arguments)]
-fn run_row_streamed(
-    ctx: &mut hc_sim::ExecContext,
-    source: &mut dyn TraceSource,
-    scenarios: &[ScenarioExperiment],
-    policies: &[PolicyKind],
-    warmup_runs: usize,
-    baseline_needed: bool,
-    cache: Option<CacheBinding<'_>>,
-    progress: Option<&ProgressHook>,
-    hook_disabled: &AtomicBool,
-    completed: &AtomicUsize,
-    total_cells: usize,
-    baseline_count: &AtomicUsize,
+/// Run one grid row — the only place the grid simulates.  For every
+/// scenario, in report order: the scenario baseline (when needed), then each
+/// policy column; the `baseline` policy column reuses the scenario
+/// baseline.  With a cache bound, each simulation goes through
+/// [`CellCache::get_or_compute`]: hits are restored without simulating, and
+/// concurrent misses on one key (another worker, or another campaign in the
+/// same process) coalesce onto a single simulation.  A streamed row whose
+/// source fails aborts with a typed [`CampaignError::Trace`].
+fn run_row(
+    ctx: &mut ExecContext,
+    columns: &GridColumns<'_>,
+    row: usize,
+    mut trace: RowTrace<'_>,
+    progress: &Progress,
+    cache: Option<&GridCache<'_>>,
 ) -> Result<GridRow, CampaignError> {
-    let (trace_name, category) = {
-        let h = source.header();
-        (h.name.clone(), h.category.clone())
-    };
-    let fail = |e: hc_trace::TraceError| CampaignError::Trace(format!("{trace_name}: {e}"));
-    let mut rows = Vec::with_capacity(scenarios.len());
-    for (scenario_index, scenario) in scenarios.iter().enumerate() {
-        let baseline = if baseline_needed {
-            baseline_count.fetch_add(1, Ordering::Relaxed);
-            let key = cache.as_ref().map(|b| {
-                (
-                    b.cache,
-                    CellKey::baseline(b.row_doc, b.trace_len, &b.scenario_docs[scenario_index]),
-                )
-            });
-            let stats =
-                run_streamed_cached(key, || scenario.experiment.run_baseline_source(ctx, source))
-                    .map_err(fail)?;
+    let (name, category) = trace.identity();
+    let fail = |e: TraceError| CampaignError::Trace(format!("{name}: {e}"));
+    let mut out = Vec::with_capacity(columns.scenarios.len());
+    for (scenario_index, scenario) in columns.scenarios.iter().enumerate() {
+        let mut run = |kind: PolicyKind| {
+            let mut simulate =
+                || trace.simulate(ctx, &scenario.experiment, kind, columns.warmup_runs);
+            match cache {
+                Some(gc) => gc
+                    .cache
+                    .get_or_compute(&gc.key(row, scenario_index, kind), simulate),
+                None => simulate(),
+            }
+            .map_err(fail)
+        };
+        let baseline = if columns.baseline_needed() {
             Some(BaselineRun {
-                trace: trace_name.clone(),
+                trace: name.clone(),
                 category: category.clone(),
                 scenario: scenario.key.clone(),
-                stats,
+                stats: run(PolicyKind::Baseline)?,
             })
         } else {
             None
         };
-        let mut cells = Vec::with_capacity(policies.len());
-        for &kind in policies {
+        let mut cells = Vec::with_capacity(columns.policies.len());
+        for &kind in columns.policies {
             let stats = match (&baseline, kind) {
                 (Some(b), PolicyKind::Baseline) => b.stats.clone(),
-                _ => {
-                    let key = cache
-                        .as_ref()
-                        .filter(|_| kind != PolicyKind::Baseline)
-                        .map(|b| {
-                            (
-                                b.cache,
-                                CellKey::cell(
-                                    b.row_doc,
-                                    b.trace_len,
-                                    b.warmup_runs,
-                                    &b.scenario_docs[scenario_index],
-                                    kind.name(),
-                                ),
-                            )
-                        });
-                    run_streamed_cached(key, || {
-                        scenario
-                            .experiment
-                            .run_policy_warmed_source(ctx, source, kind, warmup_runs)
-                    })
-                    .map_err(fail)?
-                }
+                _ => run(kind)?,
             };
             let cell = CampaignCell {
                 policy: kind.name().to_string(),
-                trace: trace_name.clone(),
+                trace: name.clone(),
                 category: category.clone(),
                 scenario: scenario.key.clone(),
                 stats,
             };
-            if let Some(hook) = progress {
-                deliver_progress(
-                    hook,
-                    hook_disabled,
-                    &CampaignProgress {
-                        completed_cells: completed.fetch_add(1, Ordering::Relaxed) + 1,
-                        total_cells,
-                        policy: cell.policy.clone(),
-                        trace: cell.trace.clone(),
-                        scenario: scenario.progress_key().to_string(),
-                    },
-                );
-            }
+            progress.cell_done(&cell, scenario.progress_key());
             cells.push(cell);
         }
-        rows.push((baseline, cells));
+        out.push((baseline, cells));
     }
-    Ok(rows)
-}
-
-/// [`run_cached`] for fallible streamed simulations: hits and joins resolve
-/// without simulating; a lead whose simulation fails is dropped without
-/// publishing, abandoning the flight so a joiner can take over, and the
-/// error surfaces to the caller.
-fn run_streamed_cached(
-    key: Option<(&CellCache, CellKey)>,
-    simulate: impl FnOnce() -> Result<SimStats, hc_trace::TraceError>,
-) -> Result<SimStats, hc_trace::TraceError> {
-    let Some((cache, key)) = key else {
-        return simulate();
-    };
-    match cache.claim(&key) {
-        CellClaim::Hit(stats) => Ok(*stats),
-        CellClaim::Lead(lead) => Ok(lead.publish(simulate()?)),
-        CellClaim::Join(join) => match join.wait() {
-            Ok(stats) => Ok(stats),
-            Err(lead) => Ok(lead.publish(simulate()?)),
-        },
-    }
-}
-
-/// Per-worker state of the batched grid path: `B` lockstep simulator lanes,
-/// a scalar context for the rare abandoned-singleflight fallback, and the
-/// policy reuse pool.  Created once per worker thread and reused across
-/// rows, so steady-state lane refills build nothing.
-struct BatchWorker {
-    lanes: hc_sim::BatchContext,
-    scalar: hc_sim::ExecContext,
-    pool: PolicyPool,
-}
-
-impl BatchWorker {
-    fn new(lanes: usize) -> BatchWorker {
-        BatchWorker {
-            lanes: hc_sim::BatchContext::new(lanes),
-            scalar: hc_sim::ExecContext::new(),
-            pool: PolicyPool::new(),
-        }
-    }
-}
-
-/// One planned fresh simulation of a batched row: which machine runs it,
-/// which policy steers it, and how many passes (warmup runs + 1).
-struct JobPlan<'s> {
-    sim: &'s Simulator,
-    kind: PolicyKind,
-    predictors: PredictorConfig,
-    runs: usize,
-}
-
-/// Where one column of a batched row gets its statistics.
-// One short-lived value per grid column during row assembly; boxing the
-// stats to shrink the slim variants would cost more than the padding.
-#[allow(clippy::large_enum_variant)]
-enum CellSource {
-    /// Known before any lane ran: a cache hit.
-    Ready(SimStats),
-    /// Simulated in this row's batch (index into the job list).
-    Lane(usize),
-    /// In flight on another worker's singleflight (index into the join
-    /// list); waited on after the batch so it never occupies a lane.
-    Pending(usize),
-    /// The `baseline` policy column: cloned from its scenario's baseline.
-    FromBaseline,
-}
-
-/// The cache pieces one batched row needs: the cache itself plus this row's
-/// serialized trace identity and the campaign-level key components (the
-/// fields of [`GridCache`], with the row projection already applied).
-struct CacheBinding<'a> {
-    cache: &'a CellCache,
-    trace_len: usize,
-    warmup_runs: usize,
-    scenario_docs: &'a [serde::Value],
-    row_doc: &'a serde::Value,
-}
-
-/// Claim one column: cached → `Ready`, in flight elsewhere → `Pending`,
-/// otherwise (leader or no cache) append a lane job.  `leads` stays aligned
-/// with `jobs` so each fresh result can be published after the batch.
-fn claim_or_enqueue<'s, 'c>(
-    plan: JobPlan<'s>,
-    key: Option<(&'c CellCache, CellKey)>,
-    jobs: &mut Vec<JobPlan<'s>>,
-    leads: &mut Vec<Option<CellLead<'c>>>,
-    joins: &mut Vec<(JobPlan<'s>, CellJoin<'c>)>,
-) -> CellSource {
-    let Some((cache, key)) = key else {
-        jobs.push(plan);
-        leads.push(None);
-        return CellSource::Lane(jobs.len() - 1);
-    };
-    match cache.claim(&key) {
-        CellClaim::Hit(stats) => CellSource::Ready(*stats),
-        CellClaim::Lead(lead) => {
-            jobs.push(plan);
-            leads.push(Some(lead));
-            CellSource::Lane(jobs.len() - 1)
-        }
-        CellClaim::Join(join) => {
-            joins.push((plan, join));
-            CellSource::Pending(joins.len() - 1)
-        }
-    }
-}
-
-/// Run one row of the grid through the worker's lockstep lanes: claim every
-/// column in scalar order, ride every fresh simulation (baselines included)
-/// through [`hc_sim::BatchContext::run_batch`], publish the results into
-/// the cache's singleflight, then assemble baselines and cells in exactly
-/// the scalar path's order.  Cached and joined cells never occupy a lane.
-#[allow(clippy::too_many_arguments)]
-fn run_row_batched(
-    worker: &mut BatchWorker,
-    scenarios: &[ScenarioExperiment],
-    trace: &Trace,
-    policies: &[PolicyKind],
-    warmup_runs: usize,
-    baseline_needed: bool,
-    cache: Option<CacheBinding<'_>>,
-    progress: Option<&ProgressHook>,
-    hook_disabled: &AtomicBool,
-    completed: &AtomicUsize,
-    total_cells: usize,
-    baseline_count: &AtomicUsize,
-) -> Vec<(Option<BaselineRun>, Vec<CampaignCell>)> {
-    // --- Plan: claim every column in scalar order.
-    let mut jobs: Vec<JobPlan> = Vec::new();
-    let mut leads: Vec<Option<CellLead>> = Vec::new();
-    let mut joins: Vec<(JobPlan, CellJoin)> = Vec::new();
-    let mut sources: Vec<(Option<CellSource>, Vec<CellSource>)> =
-        Vec::with_capacity(scenarios.len());
-    for (scenario_index, scenario) in scenarios.iter().enumerate() {
-        let experiment = &scenario.experiment;
-        let baseline_src = if baseline_needed {
-            baseline_count.fetch_add(1, Ordering::Relaxed);
-            let plan = JobPlan {
-                sim: experiment.baseline_sim(),
-                kind: PolicyKind::Baseline,
-                predictors: *experiment.predictors(),
-                runs: 1,
-            };
-            let key = cache.as_ref().map(|b| {
-                (
-                    b.cache,
-                    CellKey::baseline(b.row_doc, b.trace_len, &b.scenario_docs[scenario_index]),
-                )
-            });
-            Some(claim_or_enqueue(
-                plan, key, &mut jobs, &mut leads, &mut joins,
-            ))
-        } else {
-            None
-        };
-        let cell_srcs = policies
-            .iter()
-            .map(|&kind| {
-                if kind == PolicyKind::Baseline {
-                    // Clones the scenario baseline (spec validation
-                    // guarantees the baseline exists); never a lane job.
-                    return CellSource::FromBaseline;
-                }
-                let plan = JobPlan {
-                    sim: experiment.helper_sim(),
-                    kind,
-                    predictors: *experiment.predictors(),
-                    runs: warmup_runs + 1,
-                };
-                let key = cache.as_ref().map(|b| {
-                    (
-                        b.cache,
-                        CellKey::cell(
-                            b.row_doc,
-                            b.trace_len,
-                            b.warmup_runs,
-                            &b.scenario_docs[scenario_index],
-                            kind.name(),
-                        ),
-                    )
-                });
-                claim_or_enqueue(plan, key, &mut jobs, &mut leads, &mut joins)
-            })
-            .collect();
-        sources.push((baseline_src, cell_srcs));
-    }
-
-    // --- Execute: every fresh column rides a lane; lanes refill from the
-    // job queue as cells drain, so mixed-length cells keep all lanes busy.
-    let mut policies_in_flight: Vec<Box<dyn SteeringPolicy + Send>> = jobs
-        .iter()
-        .map(|j| worker.pool.acquire(j.kind, &j.predictors))
-        .collect();
-    let batch_jobs: Vec<BatchJob> = jobs
-        .iter()
-        .zip(policies_in_flight.iter_mut())
-        .map(|(j, policy)| BatchJob {
-            sim: j.sim,
-            trace,
-            policy: policy.as_mut(),
-            runs: j.runs,
-        })
-        .collect();
-    let mut lane_stats = worker.lanes.run_batch(batch_jobs);
-    for (j, policy) in jobs.iter().zip(policies_in_flight) {
-        worker.pool.release(j.kind, &j.predictors, policy);
-    }
-    // Publish every lead before waiting on any join: cross-worker waits can
-    // then always terminate, whatever order workers reach this point in.
-    for (stats, lead) in lane_stats.iter().zip(leads) {
-        if let Some(lead) = lead {
-            lead.publish(stats.clone());
-        }
-    }
-
-    // --- Resolve joins (another worker was simulating the same key).
-    let mut join_stats: Vec<SimStats> = joins
-        .into_iter()
-        .map(|(plan, join)| match join.wait() {
-            Ok(stats) => stats,
-            Err(lead) => {
-                // The leader's simulation panicked; run the cell scalar on
-                // this worker's fallback context.
-                let mut policy = worker.pool.acquire(plan.kind, &plan.predictors);
-                let mut stats = None;
-                for _ in 0..plan.runs {
-                    stats = Some(
-                        plan.sim
-                            .run_with(&mut worker.scalar, trace, policy.as_mut()),
-                    );
-                }
-                worker.pool.release(plan.kind, &plan.predictors, policy);
-                lead.publish(stats.expect("a job has at least one pass"))
-            }
-        })
-        .collect();
-
-    // --- Assemble in scalar order (each lane/join result is consumed
-    // exactly once, so moves replace clones).
-    let mut resolve = |src: CellSource| -> SimStats {
-        match src {
-            CellSource::Ready(stats) => stats,
-            CellSource::Lane(i) => std::mem::take(&mut lane_stats[i]),
-            CellSource::Pending(i) => std::mem::take(&mut join_stats[i]),
-            CellSource::FromBaseline => unreachable!("resolved against the scenario baseline"),
-        }
-    };
-    sources
-        .into_iter()
-        .zip(scenarios.iter())
-        .map(|((baseline_src, cell_srcs), scenario)| {
-            let baseline = baseline_src.map(|src| BaselineRun {
-                trace: trace.name.clone(),
-                category: trace.category.clone(),
-                scenario: scenario.key.clone(),
-                stats: resolve(src),
-            });
-            let cells = cell_srcs
-                .into_iter()
-                .zip(policies.iter())
-                .map(|(src, &kind)| {
-                    let stats = match src {
-                        CellSource::FromBaseline => {
-                            let b = baseline
-                                .as_ref()
-                                .expect("a baseline-policy column implies a baseline");
-                            b.stats.clone()
-                        }
-                        src => resolve(src),
-                    };
-                    let cell = CampaignCell {
-                        policy: kind.name().to_string(),
-                        trace: trace.name.clone(),
-                        category: trace.category.clone(),
-                        scenario: scenario.key.clone(),
-                        stats,
-                    };
-                    if let Some(hook) = progress {
-                        deliver_progress(
-                            hook,
-                            hook_disabled,
-                            &CampaignProgress {
-                                completed_cells: completed.fetch_add(1, Ordering::Relaxed) + 1,
-                                total_cells,
-                                policy: cell.policy.clone(),
-                                trace: cell.trace.clone(),
-                                scenario: scenario.progress_key().to_string(),
-                            },
-                        );
-                    }
-                    cell
-                })
-                .collect();
-            (baseline, cells)
-        })
-        .collect()
+    Ok(out)
 }

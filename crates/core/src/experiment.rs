@@ -14,6 +14,7 @@ use hc_predictors::PredictorConfig;
 use hc_sim::{ConfigError, ExecContext, SimConfig, SimStats, Simulator};
 use hc_trace::{Trace, TraceError, TraceSource};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The result of running one trace under one policy, with its baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -122,18 +123,6 @@ impl Experiment {
         self.baseline_sim.config()
     }
 
-    /// The validated helper-cluster simulator — the machine policy cells
-    /// run on.  Exposed so batch schedulers can drive runs through
-    /// [`hc_sim::BatchContext`] instead of the scalar entry points.
-    pub fn helper_sim(&self) -> &Simulator {
-        &self.helper_sim
-    }
-
-    /// The validated monolithic-baseline simulator (helper removed).
-    pub fn baseline_sim(&self) -> &Simulator {
-        &self.baseline_sim
-    }
-
     /// The predictor sizing policies are built with.
     pub fn predictors(&self) -> &PredictorConfig {
         &self.predictors
@@ -150,19 +139,6 @@ impl Experiment {
     pub fn run_baseline_with(&self, ctx: &mut ExecContext, trace: &Trace) -> SimStats {
         let mut policy = PolicyKind::Baseline.build();
         self.baseline_sim.run_with(ctx, trace, policy.as_mut())
-    }
-
-    /// Run the monolithic baseline over a streaming [`TraceSource`] inside
-    /// a reused [`ExecContext`].  For a source that yields the same µops as
-    /// a materialized trace with the same name and length, the stats are
-    /// bit-identical to [`Experiment::run_baseline_with`] over that trace.
-    pub fn run_baseline_source(
-        &self,
-        ctx: &mut ExecContext,
-        source: &mut dyn TraceSource,
-    ) -> Result<SimStats, TraceError> {
-        let mut policy = PolicyKind::Baseline.build();
-        self.baseline_sim.run_source(ctx, source, policy.as_mut())
     }
 
     /// [`Experiment::run_policy_warmed_with`] over a streaming
@@ -240,7 +216,7 @@ impl Experiment {
     /// Run a set of policies against one trace, reusing one baseline run —
     /// the single-trace row of a campaign grid.
     pub fn run_many(&self, trace: &Trace, kinds: &[PolicyKind]) -> Vec<ExperimentResult> {
-        crate::campaign::run_grid(self, std::slice::from_ref(trace), kinds, 0, true, None)
+        crate::campaign::run_grid(self, 1, |_| Cow::Borrowed(trace), kinds)
             .into_experiment_results()
     }
 }

@@ -249,7 +249,6 @@ pub struct FanoutWorker {
     poll_interval: Duration,
     steal: bool,
     cache: Option<Arc<CellCache>>,
-    batch: Option<usize>,
     progress: Option<ProgressHook>,
 }
 
@@ -284,7 +283,6 @@ impl FanoutWorker {
             poll_interval: Duration::from_millis(200),
             steal: true,
             cache: None,
-            batch: None,
             progress: None,
         }
     }
@@ -329,13 +327,6 @@ impl FanoutWorker {
     /// steal order.
     pub fn with_cache(mut self, cache: Arc<CellCache>) -> FanoutWorker {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Lockstep simulator lanes per grid worker (see
-    /// [`CampaignShard::run_with`]).
-    pub fn with_batch(mut self, lanes: usize) -> FanoutWorker {
-        self.batch = Some(lanes);
         self
     }
 
@@ -408,11 +399,8 @@ impl FanoutWorker {
                 // Re-check under the lease: the previous holder may have
                 // published between our scan and the claim.
                 if !self.shard_complete(&shards[k]) {
-                    let report = shards[k].run_with(
-                        self.progress.as_ref(),
-                        self.cache.as_deref(),
-                        self.batch,
-                    )?;
+                    let report =
+                        shards[k].run_with(self.progress.as_ref(), self.cache.as_deref())?;
                     write_checkpoint_file(
                         &self.checkpoint.join(shard_file_name(k)),
                         &report.to_json(),

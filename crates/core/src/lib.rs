@@ -62,8 +62,8 @@ pub mod shard;
 pub mod suite;
 
 pub use cache::{
-    CacheActivity, CacheStats, CachedCell, CellCache, CellClaim, CellJoin, CellKey, CellLead,
-    CostModel, GcOutcome, GcPolicy, PackOutcome, CACHE_LAYOUT_VERSION, CACHE_SCHEMA_VERSION,
+    CacheActivity, CacheStats, CachedCell, CellCache, CellKey, CostModel, GcOutcome, GcPolicy,
+    PackOutcome, CACHE_LAYOUT_VERSION, CACHE_SCHEMA_VERSION,
 };
 pub use campaign::{
     CampaignBuilder, CampaignError, CampaignProgress, CampaignReport, CampaignRunner, CampaignSpec,
@@ -76,7 +76,7 @@ pub use fanout::{
     WorkerOutcome,
 };
 pub use figures::{Figure, FigureRow};
-pub use policy::{PolicyKind, PolicyPool, SteeringFeatures, SteeringStack};
+pub use policy::{PolicyKind, SteeringFeatures, SteeringStack};
 pub use scenario::{ScenarioError, ScenarioSpec, DEFAULT_SCENARIO_NAME};
 pub use shard::{
     CampaignShard, ShardPlan, ShardReport, ShardStrategy, ShardedCampaignRunner, ShardedRunOutcome,

@@ -55,14 +55,12 @@ use crate::cache::{CellCache, CostModel};
 #[allow(unused_imports)] // `CampaignRunner` is referenced by doc links only.
 use crate::campaign::CampaignRunner;
 use crate::campaign::{
-    decode_versioned, make_row_trace, report_wire_version, resolve_batch, resolve_row_docs,
-    run_grid_streaming, scenario_experiments, BaselineRun, CampaignCell, CampaignError,
-    CampaignProgress, CampaignReport, CampaignSpec, GridCache, ProgressHook,
+    decode_versioned, report_wire_version, run_spec_rows, BaselineRun, CampaignCell, CampaignError,
+    CampaignProgress, CampaignReport, CampaignSpec, Progress, ProgressHook,
 };
 use crate::policy::PolicyKind;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Version of the [`ShardReport`] wire schema, independent of the report and
@@ -396,7 +394,7 @@ impl CampaignShard {
 
     /// Execute this shard through the streaming grid engine.
     pub fn run(&self) -> Result<ShardReport, CampaignError> {
-        self.run_with(None, None, None)
+        self.run_with(None, None)
     }
 
     /// [`CampaignShard::run`] with an optional progress hook.  The hook sees
@@ -406,48 +404,31 @@ impl CampaignShard {
         &self,
         progress: Option<&ProgressHook>,
     ) -> Result<ShardReport, CampaignError> {
-        self.run_with(progress, None, None)
+        self.run_with(progress, None)
     }
 
-    /// [`CampaignShard::run`] with an optional progress hook, an optional
-    /// [`CellCache`] memoizing every simulated cell, and an optional batch
-    /// width (lockstep simulator lanes per worker; `None` sizes it
-    /// automatically).  Shard reports stay byte-identical with or without
-    /// the cache and at every batch width.
+    /// [`CampaignShard::run`] with an optional progress hook and an optional
+    /// [`CellCache`] memoizing every simulated cell.  Shard reports stay
+    /// byte-identical with or without the cache.
     pub fn run_with(
         &self,
         progress: Option<&ProgressHook>,
         cache: Option<&CellCache>,
-        batch: Option<usize>,
     ) -> Result<ShardReport, CampaignError> {
-        let scenarios = scenario_experiments(&self.spec)?;
+        self.run_reporting(&Progress::new(progress.cloned(), self.cell_count()), cache)
+    }
+
+    /// Execute this shard, delivering progress through `progress` (which a
+    /// [`ShardedCampaignRunner`] shares across all of a run's shards).
+    /// Rows run through the same engine as [`CampaignRunner::run`], so
+    /// shard cache keys match whole-campaign keys.
+    pub(crate) fn run_reporting(
+        &self,
+        progress: &Progress,
+        cache: Option<&CellCache>,
+    ) -> Result<ShardReport, CampaignError> {
         let indices = self.trace_indices();
-        // Cache identities resolve through the same helper the campaign
-        // runner uses, so shard cache keys match whole-campaign keys
-        // (content-addressed for `File` rows).
-        let row_docs = resolve_row_docs(&self.spec.traces)?;
-        let generation_count = AtomicUsize::new(0);
-        let row_doc = |&i: &usize| row_docs[i].clone();
-        let grid_cache = cache.map(|cache| GridCache::new(cache, &self.spec, &row_doc));
-        let grid = run_grid_streaming(
-            &scenarios,
-            &indices,
-            |&i| {
-                generation_count.fetch_add(1, Ordering::Relaxed);
-                make_row_trace(&self.spec.traces[i], self.spec.trace_len)
-            },
-            &self.spec.policies,
-            self.spec.warmup_runs,
-            self.spec.include_baseline,
-            progress,
-            grid_cache.as_ref(),
-            resolve_batch(
-                batch,
-                self.spec.scenarios.len(),
-                &self.spec.policies,
-                self.spec.include_baseline,
-            ),
-        )?;
+        let (grid, trace_generations) = run_spec_rows(&self.spec, &indices, progress, cache)?;
         let baseline_runs = grid.baseline_runs;
         let (baselines, cells) = grid.into_flat_parts();
         Ok(ShardReport {
@@ -460,7 +441,7 @@ impl CampaignShard {
             baselines,
             cells,
             baseline_runs,
-            trace_generations: generation_count.load(Ordering::Relaxed),
+            trace_generations,
         })
     }
 }
@@ -873,7 +854,6 @@ pub struct ShardedCampaignRunner {
     resume: bool,
     progress: Option<ProgressHook>,
     cache: Option<Arc<CellCache>>,
-    batch: Option<usize>,
 }
 
 impl std::fmt::Debug for ShardedCampaignRunner {
@@ -887,7 +867,6 @@ impl std::fmt::Debug for ShardedCampaignRunner {
                 "cache",
                 &self.cache.as_ref().map(|c| c.root().to_path_buf()),
             )
-            .field("batch", &self.batch)
             .finish()
     }
 }
@@ -902,16 +881,7 @@ impl ShardedCampaignRunner {
             resume: false,
             progress: None,
             cache: None,
-            batch: None,
         }
-    }
-
-    /// Set the lockstep simulator lane count each worker batches cells
-    /// over (`1` forces the scalar engine; unset sizes it automatically).
-    /// Shard and merged reports are byte-identical at every width.
-    pub fn with_batch(mut self, lanes: usize) -> ShardedCampaignRunner {
-        self.batch = Some(lanes);
-        self
     }
 
     /// Memoize every simulated cell through a [`CellCache`] and let its
@@ -964,45 +934,23 @@ impl ShardedCampaignRunner {
         }
         let shards = CampaignShard::from_plan(spec, plan);
 
-        // Remap shard-local progress to campaign-global cell counts; resumed
-        // shards advance the counter without firing the hook per cell.  The
-        // panic isolation inside the grid engine is per shard, so a
-        // run-level disable flag lives out here: a user hook that panics is
-        // disabled for the rest of the *run*, not re-tried on every shard.
-        let total_cells = spec.cell_count();
-        let completed = Arc::new(AtomicUsize::new(0));
-        let global_hook: Option<ProgressHook> = self.progress.clone().map(|user| {
-            let completed = Arc::clone(&completed);
-            let disabled = Arc::new(AtomicBool::new(false));
-            Arc::new(move |p: &CampaignProgress| {
-                let global = CampaignProgress {
-                    completed_cells: completed.fetch_add(1, Ordering::Relaxed) + 1,
-                    total_cells,
-                    policy: p.policy.clone(),
-                    trace: p.trace.clone(),
-                    scenario: p.scenario.clone(),
-                };
-                if disabled.load(Ordering::Relaxed) {
-                    return;
-                }
-                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| user(&global))).is_err()
-                {
-                    disabled.store(true, Ordering::Relaxed);
-                }
-            }) as ProgressHook
-        });
+        // One progress state for the whole run: counts are campaign-global,
+        // resumed shards advance them without firing the hook per cell, and
+        // a hook that panics is disabled for the rest of the *run*, not
+        // re-tried on every shard.
+        let progress = Progress::new(self.progress.clone(), spec.cell_count());
 
         let mut reports = Vec::with_capacity(shards.len());
         let mut executed_shards = Vec::new();
         let mut resumed_shards = Vec::new();
         for shard in &shards {
             if let Some(report) = self.try_resume_shard(shard)? {
-                completed.fetch_add(shard.cell_count(), Ordering::Relaxed);
+                progress.skip(shard.cell_count());
                 resumed_shards.push(shard.shard_index());
                 reports.push(report);
                 continue;
             }
-            let report = shard.run_with(global_hook.as_ref(), self.cache.as_deref(), self.batch)?;
+            let report = shard.run_reporting(&progress, self.cache.as_deref())?;
             if let Some(dir) = &self.checkpoint {
                 write_checkpoint_file(
                     &dir.join(shard_file_name(shard.shard_index())),
@@ -1120,6 +1068,7 @@ mod tests {
     use super::*;
     use crate::campaign::CampaignBuilder;
     use hc_trace::SpecBenchmark;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn spec(n_traces: usize) -> CampaignSpec {
         let mut b = CampaignBuilder::new("shard-unit").policy(PolicyKind::P888);

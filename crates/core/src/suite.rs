@@ -9,7 +9,7 @@
 //! memory, not 409.  Each trace's monolithic baseline is still simulated
 //! exactly once.
 
-use crate::campaign::{resolve_batch, run_grid, run_grid_streaming, RowTrace, ScenarioExperiment};
+use crate::campaign::run_grid;
 use crate::experiment::{Experiment, ExperimentResult};
 use crate::policy::PolicyKind;
 use hc_trace::{SpecBenchmark, Trace, WorkloadProfile};
@@ -85,7 +85,12 @@ impl SuiteRunner {
     /// Run one policy over a set of already-generated traces, sharing one
     /// baseline simulation per trace.
     pub fn run_traces(&self, traces: &[Trace], kind: PolicyKind) -> SuiteResult {
-        let grid = run_grid(&self.experiment, traces, &[kind], 0, true, None);
+        let grid = run_grid(
+            &self.experiment,
+            traces.len(),
+            |i| Cow::Borrowed(&traces[i]),
+            &[kind],
+        );
         SuiteResult {
             policy: kind.name().to_string(),
             per_trace: grid.into_experiment_results(),
@@ -97,18 +102,12 @@ impl SuiteRunner {
     /// when its row finishes — the suite streams instead of materializing
     /// every trace up front.
     pub fn run_profiles(&self, profiles: &[WorkloadProfile], kind: PolicyKind) -> SuiteResult {
-        let grid = run_grid_streaming(
-            std::slice::from_ref(&ScenarioExperiment::legacy(self.experiment.clone())),
-            profiles,
-            |p| Ok(RowTrace::Materialized(Cow::Owned(p.generate()))),
+        let grid = run_grid(
+            &self.experiment,
+            profiles.len(),
+            |i| Cow::Owned(profiles[i].generate()),
             &[kind],
-            0,
-            true,
-            None,
-            None,
-            resolve_batch(None, 1, &[kind], true),
-        )
-        .expect("materialized rows cannot fail");
+        );
         SuiteResult {
             policy: kind.name().to_string(),
             per_trace: grid.into_experiment_results(),
@@ -118,18 +117,12 @@ impl SuiteRunner {
     /// Run one policy over the 12 SPEC Int 2000 stand-in traces (streamed
     /// like [`SuiteRunner::run_profiles`]).
     pub fn run_spec(&self, trace_len: usize, kind: PolicyKind) -> SuiteResult {
-        let grid = run_grid_streaming(
-            std::slice::from_ref(&ScenarioExperiment::legacy(self.experiment.clone())),
-            &SpecBenchmark::ALL,
-            |b| Ok(RowTrace::Materialized(Cow::Owned(b.trace(trace_len)))),
+        let grid = run_grid(
+            &self.experiment,
+            SpecBenchmark::ALL.len(),
+            |i| Cow::Owned(SpecBenchmark::ALL[i].trace(trace_len)),
             &[kind],
-            0,
-            true,
-            None,
-            None,
-            resolve_batch(None, 1, &[kind], true),
-        )
-        .expect("materialized rows cannot fail");
+        );
         SuiteResult {
             policy: kind.name().to_string(),
             per_trace: grid.into_experiment_results(),

@@ -1,22 +1,16 @@
 //! The reusable per-run execution arena: every piece of mutable simulator
-//! state, in a structure-of-arrays layout — one [`ExecContext`] is one
-//! *lane* of simulator state, and a batch of lanes
-//! ([`super::batch::BatchContext`]) is a column-per-field SoA over cells.
+//! state.
 //!
 //! A [`ExecContext`] owns the in-flight window slab, the dependence-link
 //! arena, the reorder buffer, the cycle-bucketed event wheel, the
 //! `forced_wide` bitset, the reused memory hierarchy and branch predictor,
 //! assorted scratch buffers, **and the whole per-run machine state** (rename
 //! tables, issue-queue occupancy, the ready queues, clocks and statistics).
-//! Holding the machine state here — rather than on a stack-allocated
-//! `Machine` — is what makes runs *suspendable*: a lane can be stepped a few
-//! wide cycles at a time and interleaved with other lanes, which is the
-//! foundation of the batched execution mode.
 //!
 //! Its `begin_run` step returns all of it to a cold state *without releasing
 //! allocations*, which is what makes the staged engine's hot loop
 //! allocation-free in steady state: a campaign worker thread allocates one
-//! context (or one batch of lanes) and replays every grid cell through it.
+//! context and replays every grid cell through it.
 //!
 //! [`Simulator::run_with`]: crate::exec::Simulator::run_with
 
@@ -45,8 +39,8 @@ pub(crate) const NO_LINK: usize = usize::MAX;
 /// outright.
 const DEFAULT_WHEEL_BUCKETS: usize = 1024;
 
-/// Reusable per-run simulator state.  Create once (per worker thread, or one
-/// per batch lane) and pass to [`Simulator::run_with`] for every run; each
+/// Reusable per-run simulator state.  Create once per worker thread and
+/// pass to [`Simulator::run_with`] for every run; each
 /// run starts from a cold machine state but reuses every allocation of the
 /// previous one.
 ///
@@ -99,8 +93,6 @@ pub struct ExecContext {
     pub(crate) branch_pred: BranchPredictor,
 
     // -------------------------------------------------- per-run machine state
-    // (Previously stack-locals of the run loop; living here makes a run
-    // suspendable so batch lanes can interleave.)
     /// Rename table: in-flight producer of each architectural register.
     pub(crate) rename_map: [Option<RenameEntry>; NUM_ARCH_REGS],
     /// In-flight producer of the flags register.
@@ -140,8 +132,8 @@ pub struct ExecContext {
     pub(crate) stats: SimStats,
     /// Trace µops retired so far (the run's termination condition).
     pub(crate) committed_trace_uops: usize,
-    /// Trace length of the current run (captured so the lane itself knows
-    /// when it has drained).
+    /// Trace length of the current run (captured so the context itself
+    /// knows when the run has drained).
     pub(crate) trace_len: usize,
 }
 
@@ -228,7 +220,7 @@ impl ExecContext {
 
     /// Return the whole context — arenas *and* machine state — to the cold
     /// state a fresh run starts from, keeping every allocation.  After this
-    /// the lane can be stepped wide cycle by wide cycle until
+    /// the run can be stepped wide cycle by wide cycle until
     /// [`ExecContext::run_done`].
     pub(crate) fn begin_run(&mut self, cfg: &SimConfig, trace: &Trace, policy_name: &str) {
         self.begin_run_parts(cfg, &trace.name, trace.len(), policy_name);

@@ -51,7 +51,6 @@
 //! the slab or an arena, not in per-entry `Vec`s, and per-tick scratch
 //! belongs in [`ExecContext`].
 
-pub mod batch;
 pub mod commit;
 pub mod context;
 pub mod frontend;
@@ -60,7 +59,6 @@ pub mod memory;
 pub mod recovery;
 pub mod rename;
 
-pub use batch::{BatchContext, BatchJob};
 pub use context::ExecContext;
 
 use crate::config::{ConfigError, SimConfig};
@@ -94,8 +92,8 @@ impl Simulator {
     /// Run `trace` under `policy` and return the measured statistics.
     ///
     /// Convenience wrapper over [`Simulator::run_with`] that allocates a
-    /// fresh [`ExecContext`] per call; batch callers should create one
-    /// context per worker thread and reuse it.
+    /// fresh [`ExecContext`] per call; callers running many traces should
+    /// create one context per worker thread and reuse it.
     pub fn run(&self, trace: &Trace, policy: &mut dyn SteeringPolicy) -> SimStats {
         let mut ctx = ExecContext::new();
         self.run_with(&mut ctx, trace, policy)
@@ -114,7 +112,13 @@ impl Simulator {
         policy: &mut dyn SteeringPolicy,
     ) -> SimStats {
         ctx.begin_run(&self.config, trace, policy.name());
-        Machine::attach(&self.config, trace, policy, ctx).run_to_completion();
+        Machine {
+            cfg: &self.config,
+            feed: TraceFeed::Slice(trace),
+            policy,
+            ctx,
+        }
+        .run_to_completion();
         ctx.take_stats()
     }
 
@@ -167,8 +171,8 @@ pub(crate) struct RenameEntry {
 }
 
 /// Where a machine's µops come from: a borrowed materialized trace (random
-/// access, the batched-lane case) or a streaming cursor over a
-/// [`TraceSource`] holding only a bounded in-flight window.
+/// access) or a streaming cursor over a [`TraceSource`] holding only a
+/// bounded in-flight window.
 ///
 /// Both answer the two questions the frontend asks — the total length, and
 /// "the µop at position `pos`" — so slice-fed and stream-fed runs execute
@@ -280,10 +284,9 @@ impl<'a> StreamCursor<'a> {
 }
 
 /// One run's stage driver: a *view* that borrows the configuration, µop
-/// feed, policy and the [`ExecContext`] lane holding **all** mutable state.
-/// Because the machine owns nothing but its feed cursor, it can be attached
-/// and dropped between wide cycles — which is how the batched mode
-/// interleaves lanes.
+/// feed, policy and the [`ExecContext`] holding **all** mutable state.  The
+/// context must have been started with [`ExecContext::begin_run`] (or
+/// `begin_run_parts`) for this run.
 pub(crate) struct Machine<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) feed: TraceFeed<'a>,
@@ -291,23 +294,7 @@ pub(crate) struct Machine<'a> {
     pub(crate) ctx: &'a mut ExecContext,
 }
 
-impl<'a> Machine<'a> {
-    /// Attach a stage driver to a lane mid-run.  The lane must have been
-    /// started with [`ExecContext::begin_run`] for this `(cfg, trace)` pair.
-    pub(crate) fn attach(
-        cfg: &'a SimConfig,
-        trace: &'a Trace,
-        policy: &'a mut dyn SteeringPolicy,
-        ctx: &'a mut ExecContext,
-    ) -> Self {
-        Machine {
-            cfg,
-            feed: TraceFeed::Slice(trace),
-            policy,
-            ctx,
-        }
-    }
-
+impl Machine<'_> {
     pub(crate) fn ratio(&self) -> u64 {
         self.cfg.ticks_per_wide_cycle()
     }
@@ -324,7 +311,7 @@ impl<'a> Machine<'a> {
 
     // ----------------------------------------------------------------- run
 
-    /// Drive the lane until its trace has fully retired (or, for a streaming
+    /// Drive the run until its trace has fully retired (or, for a streaming
     /// feed, until the feed fails — the caller turns that into an error).
     pub(crate) fn run_to_completion(&mut self) {
         while !self.ctx.run_done() && !self.feed.failed() {
@@ -332,7 +319,7 @@ impl<'a> Machine<'a> {
         }
     }
 
-    pub(crate) fn step_wide_cycle(&mut self) {
+    fn step_wide_cycle(&mut self) {
         let ratio = self.ratio();
         for sub in 0..ratio {
             self.complete_at(self.ctx.tick);

@@ -4,9 +4,9 @@
 //!   1-thread and an N-thread run (the parallel fan-out with per-worker
 //!   `ExecContext` reuse must not leak state between cells or reorder
 //!   results);
-//! * the lockstep batched engine produces the same bytes at every batch
-//!   size × thread count, and a warm cell cache replays a batched campaign
-//!   with zero re-simulations;
+//! * a grid mixing synthesized, recorded-file and phased rows produces the
+//!   same bytes at every thread count, uncached, cache-cold and cache-warm,
+//!   and the warm replay simulates nothing;
 //! * repeated runs through one reused `ExecContext` match fresh-context
 //!   runs exactly.
 //!
@@ -15,6 +15,7 @@
 
 use hc_core::cache::CellCache;
 use hc_core::policy::PolicyKind;
+use hc_trace::{KernelKind, PhaseSchedule, WorkloadCategory, WorkloadProfile};
 use helper_cluster::prelude::*;
 use std::sync::Arc;
 
@@ -57,75 +58,75 @@ fn campaign_json_is_byte_identical_across_thread_counts_and_reruns() {
 }
 
 #[test]
-fn batched_campaigns_are_byte_identical_across_batch_and_thread_counts() {
-    let spec = grid_spec();
-    // Scalar single-threaded run: the reference bytes.
-    rayon::set_thread_cap(1);
-    let reference = CampaignRunner::new()
-        .with_batch(1)
-        .run(&spec)
-        .expect("scalar reference run")
-        .to_json();
-    for threads in [1usize, 4] {
-        rayon::set_thread_cap(threads);
-        for batch in [1usize, 2, 8] {
-            let report = CampaignRunner::new()
-                .with_batch(batch)
-                .run(&spec)
-                .expect("batched run");
-            assert_eq!(
-                report.to_json(),
-                reference,
-                "batch {batch} × {threads} thread(s) must match the scalar bytes"
-            );
-        }
-        // Auto-sized batching (the default) must match too.
-        let auto = CampaignRunner::new().run(&spec).expect("auto-batched run");
-        assert_eq!(
-            auto.to_json(),
-            reference,
-            "auto batch × {threads} thread(s) must match the scalar bytes"
+fn mixed_row_grids_are_byte_identical_across_threads_and_cache_states() {
+    let dir = std::env::temp_dir().join(format!("hc_mixed_rows_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let recording = dir.join("mcf.uoptrace");
+    hc_trace::write_trace(&recording, &SpecBenchmark::Mcf.trace(900)).expect("record");
+    let phased = PhaseSchedule::new("hist-then-scan")
+        .phase(
+            WorkloadProfile::new("hist", vec![(KernelKind::ByteHistogram, 1.0)]).with_seed(5),
+            600,
+        )
+        .phase(
+            WorkloadProfile::new("scan", vec![(KernelKind::TokenScan, 1.0)]).with_seed(6),
+            400,
         );
+    // Two synthesized rows, one streamed from a recording, one streamed
+    // from a phase schedule; the `baseline` column reuses each row's
+    // baseline, and the warmup pass makes streamed rows rewind.
+    let spec = CampaignBuilder::new("mixed-rows")
+        .policy(PolicyKind::P888)
+        .policy(PolicyKind::Ir)
+        .policy(PolicyKind::Baseline)
+        .spec(SpecBenchmark::Gzip)
+        .category_app(WorkloadCategory::Office, 0)
+        .trace_file(recording.to_str().expect("utf-8 temp path"))
+        .phased(phased)
+        .trace_len(800)
+        .warmup_runs(1)
+        .build()
+        .expect("valid mixed-row spec");
+    // 4 rows × (1 baseline + 2 simulated policy columns).
+    let lookups = 4 * 3;
+
+    let mut reference: Option<String> = None;
+    let mut same_bytes = |what: &str, report: CampaignReport| {
+        let json = report.to_json();
+        match &reference {
+            None => reference = Some(json),
+            Some(expected) => assert_eq!(&json, expected, "{what} diverged"),
+        }
+    };
+    for threads in [1usize, 2] {
+        rayon::set_thread_cap(threads);
+        let uncached = CampaignRunner::new().run(&spec).expect("uncached run");
+        assert_eq!(uncached.baseline_runs, 4);
+        assert_eq!(uncached.trace_generations, 4);
+        same_bytes(&format!("uncached × {threads} thread(s)"), uncached);
+
+        let cache_dir = dir.join(format!("cache-{threads}"));
+        let cold_cache = Arc::new(CellCache::open(&cache_dir).expect("open cold"));
+        let cold = CampaignRunner::new()
+            .with_cache(Arc::clone(&cold_cache))
+            .run(&spec)
+            .expect("cold run");
+        assert_eq!(cold_cache.activity().misses, lookups);
+        same_bytes(&format!("cache-cold × {threads} thread(s)"), cold);
+        drop(cold_cache);
+
+        let warm_cache = Arc::new(CellCache::open(&cache_dir).expect("open warm"));
+        let warm = CampaignRunner::new()
+            .with_cache(Arc::clone(&warm_cache))
+            .run(&spec)
+            .expect("warm run");
+        let activity = warm_cache.activity();
+        assert_eq!(activity.misses, 0, "a warm replay re-simulates no cell");
+        assert_eq!(activity.hits, lookups);
+        same_bytes(&format!("cache-warm × {threads} thread(s)"), warm);
     }
     rayon::set_thread_cap(0);
-}
-
-#[test]
-fn batched_warm_cache_replay_simulates_nothing() {
-    let dir = std::env::temp_dir().join(format!("hc_batch_determinism_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let spec = grid_spec();
-
-    // Cold batched run fills the cache; 3 traces × (1 baseline + 3 policy
-    // cells) = 12 lookups, all misses.
-    let cold_cache = Arc::new(CellCache::open(&dir).expect("open cold"));
-    let cold = CampaignRunner::new()
-        .with_batch(8)
-        .with_cache(Arc::clone(&cold_cache))
-        .run(&spec)
-        .expect("cold batched run");
-    assert_eq!(cold_cache.activity().misses, 12);
-
-    // Warm batched replay: every cell is a cache hit, so no lane ever
-    // fills and the engine simulates nothing.
-    let warm_cache = Arc::new(CellCache::open(&dir).expect("open warm"));
-    let warm = CampaignRunner::new()
-        .with_batch(8)
-        .with_cache(Arc::clone(&warm_cache))
-        .run(&spec)
-        .expect("warm batched run");
-    let activity = warm_cache.activity();
-    assert_eq!(
-        activity.misses, 0,
-        "a warm batched replay re-simulates zero cells"
-    );
-    assert_eq!(activity.hits, 12);
-    assert_eq!(
-        warm.to_json(),
-        cold.to_json(),
-        "warm batched bytes == cold batched bytes"
-    );
-
     let _ = std::fs::remove_dir_all(&dir);
 }
 
