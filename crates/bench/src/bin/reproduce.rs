@@ -26,7 +26,9 @@
 //! `--full-suite`) as one sharded, streaming campaign.  `--shards N` splits
 //! the suite into N deterministic shards (merged reports are byte-identical
 //! for any shard count); `--checkpoint DIR` writes each completed shard to
-//! disk and `--resume` skips shards already on disk.  Traces are synthesized
+//! disk and `--resume` skips shards already on disk (whichever process
+//! wrote them: the directory is interchangeable with a fan-out worker's,
+//! below).  Traces are synthesized
 //! per worker, so even the full suite holds O(threads) traces in memory.
 //!
 //! `--cache DIR` opens (or initialises) a content-addressed cell cache for
@@ -42,8 +44,8 @@
 //! `suite --of N` switches to the multi-process **fan-out worker** mode:
 //! the process joins (or, first arrival, plans) an N-way partition rooted
 //! at `--checkpoint DIR`, claims shards through heartbeat-renewed lease
-//! files, executes each claimed shard and writes its `shard_NNNN.json`
-//! via the checkpoint protocol's tmp+rename path, then exits.
+//! files, adopts each claimed shard whose valid `shard_NNNN.json` is
+//! already on disk and executes (and writes) the rest, then exits.
 //! `--shard-index K` names the worker's home shard (claimed first);
 //! stealing — picking up a straggler's or crashed peer's unfinished
 //! shards, most expensive first per recorded cost — is on by default and

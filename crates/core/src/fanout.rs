@@ -1,19 +1,19 @@
 //! Multi-process shard fan-out: lease-based work claiming, work-stealing
 //! reassignment and a merge coordinator over one checkpoint directory.
 //!
-//! [`ShardedCampaignRunner`](crate::shard::ShardedCampaignRunner) executes a
-//! partition's shards sequentially inside one process.  This module turns
-//! the same checkpoint directory — the `campaign.json` manifest plus one
-//! `shard_NNNN.json` per completed shard — into a **coordination substrate
-//! for a fleet of worker processes**:
+//! A checkpoint directory — the `campaign.json` manifest plus one
+//! `shard_NNNN.json` per completed shard, read and written only through
+//! the `checkpoint` protocol module — is a **coordination substrate for a
+//! fleet of worker processes**:
 //!
-//! * [`FanoutWorker`] is one worker of the fleet.  It reconciles (or, first
-//!   arrival, publishes) the manifest, claims shards through **lease files**
-//!   and executes each claimed shard through the ordinary streaming grid
-//!   engine, writing the shard report with the existing tmp+rename
-//!   checkpoint protocol.  With stealing enabled a fast worker picks up a
-//!   straggler's or crashed peer's unfinished shards, steered by the
-//!   recorded per-row costs of the [`CostModel`].
+//! * [`FanoutWorker`] is one worker of the fleet.  It adopts (or, first
+//!   arrival, publishes) the manifest, then runs the **claim loop**: claim a
+//!   shard's lease, adopt a valid report already on disk, otherwise execute
+//!   the shard through the streaming grid engine and write its report.
+//!   Stealing, it also takes stragglers' and crashed peers' shards, most
+//!   expensive first per the [`CostModel`].  The in-process
+//!   [`ShardedCampaignRunner`](crate::shard::ShardedCampaignRunner) is the
+//!   same loop run solo, followed by an in-memory merge.
 //! * [`ShardLease`] is the claim primitive: an exclusively-created
 //!   `shard_NNNN.lease` file whose mtime is renewed by a heartbeat thread
 //!   while the holder simulates.  A lease whose mtime has not moved for the
@@ -24,6 +24,9 @@
 //!   [`CampaignReport::merge`], and emits a merged report **byte-identical**
 //!   to the single-process run.
 //!
+//! Within one run a process never reads back a shard file it wrote, and
+//! decodes the manifest and every other shard file at most once.
+//!
 //! ## Why duplicate execution is safe
 //!
 //! The claim protocol keeps duplicate work *rare* (exactly one `hard_link`
@@ -33,18 +36,16 @@
 //! one, and in the worst interleaving two workers briefly simulate the same
 //! shard.  That is deliberate.  A shard report is a **pure function of
 //! (spec, plan, shard index)**: both workers produce byte-identical JSON,
-//! both write it through tmp+rename, and whichever rename lands last
-//! installs the same bytes.  Correctness never depends on mutual exclusion
-//! — the leases exist only to avoid wasting simulation time.
+//! each writes it through its own uniquely-named tmp file and a `rename`,
+//! and whichever rename lands last installs the same bytes.  Correctness
+//! never depends on mutual exclusion — the leases exist only to avoid
+//! wasting simulation time.
 
 use crate::cache::{CellCache, CostModel};
-use crate::campaign::{CampaignError, CampaignReport, CampaignSpec, ProgressHook};
-use crate::shard::{
-    shard_file_name, shard_wire_version, write_checkpoint_file, CampaignShard, CheckpointManifest,
-    ShardReport, MANIFEST_FILE,
-};
+use crate::campaign::{CampaignError, CampaignReport, CampaignSpec, Progress, ProgressHook};
+use crate::checkpoint::{self, CheckpointDir, CheckpointManifest, ShardFile, MANIFEST_FILE};
+use crate::shard::{CampaignShard, ShardPlan, ShardReport};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -52,10 +53,6 @@ use std::time::{Duration, Instant, SystemTime};
 pub fn lease_file_name(index: usize) -> String {
     format!("shard_{index:04}.lease")
 }
-
-/// Process-wide sequence for unique lease tmp-file names (two threads of one
-/// process racing for the same shard must not collide on the tmp path).
-static LEASE_TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// An exclusive, heartbeat-renewed claim on one shard of a checkpoint
 /// directory.
@@ -115,43 +112,23 @@ impl ShardLease {
             ),
         ]));
         for attempt in 0..2 {
-            let tmp = dir.join(format!(
-                "{}.tmp.{}.{}",
-                lease_file_name(index),
-                std::process::id(),
-                LEASE_TMP_SEQ.fetch_add(1, Ordering::Relaxed),
-            ));
-            std::fs::write(&tmp, &doc)
-                .map_err(|e| CampaignError::Fanout(format!("write {}: {e}", tmp.display())))?;
-            match std::fs::hard_link(&tmp, &path) {
-                Ok(()) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Ok(Some(ShardLease::won(path, timeout)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let _ = std::fs::remove_file(&tmp);
-                    // Occupied.  Dead holder?  The mtime is the heartbeat
-                    // clock: unreadable or future mtimes count as fresh
-                    // (never break a lease on bad evidence).
-                    let stale = std::fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
-                        .is_some_and(|age| age > timeout);
-                    if stale && attempt == 0 {
-                        let _ = std::fs::remove_file(&path);
-                        continue;
-                    }
-                    return Ok(None);
-                }
-                Err(e) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(CampaignError::Fanout(format!(
-                        "claim {}: {e}",
-                        path.display()
-                    )));
-                }
+            let won = checkpoint::publish(&path, &doc, true)
+                .map_err(|e| CampaignError::Fanout(format!("claim {}: {e}", path.display())))?;
+            if won {
+                return Ok(Some(ShardLease::won(path, timeout)));
             }
+            // Occupied.  Dead holder?  The mtime is the heartbeat clock:
+            // unreadable or future mtimes count as fresh (never break a
+            // lease on bad evidence).
+            let stale = std::fs::metadata(&path)
+                .and_then(|m| m.modified())
+                .ok()
+                .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
+                .is_some_and(|age| age > timeout);
+            if !stale || attempt > 0 {
+                break;
+            }
+            let _ = std::fs::remove_file(&path);
         }
         Ok(None)
     }
@@ -222,6 +199,19 @@ pub struct WorkerOutcome {
     pub stolen_shards: Vec<usize>,
 }
 
+/// What one pass of the claim loop finished: every shard it executed or
+/// found already complete on disk.
+#[derive(Default)]
+pub(crate) struct Execution {
+    /// The finished shards' reports, in completion order.
+    pub(crate) reports: Vec<ShardReport>,
+    /// Shards simulated (and, with a checkpoint directory, written),
+    /// ascending.
+    pub(crate) executed: Vec<usize>,
+    /// Shards whose valid report was found on disk, ascending.
+    pub(crate) loaded: Vec<usize>,
+}
+
 /// One worker process (or thread) of a shard fan-out fleet.
 ///
 /// Every worker of a fleet is pointed at the same checkpoint directory and
@@ -243,7 +233,14 @@ pub struct WorkerOutcome {
 pub struct FanoutWorker {
     shard_count: usize,
     home_shard: Option<usize>,
-    checkpoint: PathBuf,
+    /// `None` only for the in-process runner without a checkpoint: no
+    /// manifest, no leases, no shard files.
+    checkpoint: Option<PathBuf>,
+    /// Adopt the directory's manifest and valid shard files; `false` (a
+    /// fresh in-process run) overwrites both.
+    resume: bool,
+    /// The error variant protocol failures are reported in.
+    error: fn(String) -> CampaignError,
     worker_id: String,
     lease_timeout: Duration,
     poll_interval: Duration,
@@ -273,17 +270,35 @@ impl FanoutWorker {
         FanoutWorker {
             shard_count,
             home_shard: None,
-            checkpoint: checkpoint.into(),
-            worker_id: format!(
-                "pid{}-{}",
-                std::process::id(),
-                LEASE_TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-            ),
+            checkpoint: Some(checkpoint.into()),
+            resume: true,
+            error: CampaignError::Fanout,
+            worker_id: format!("pid{}-{}", std::process::id(), checkpoint::next_seq()),
             lease_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(200),
             steal: true,
             cache: None,
             progress: None,
+        }
+    }
+
+    /// The worker behind [`ShardedCampaignRunner`](crate::shard::ShardedCampaignRunner):
+    /// every shard, checkpoint optional, failures as
+    /// [`CampaignError::Checkpoint`].
+    pub(crate) fn solo(
+        shard_count: usize,
+        checkpoint: Option<PathBuf>,
+        resume: bool,
+        cache: Option<Arc<CellCache>>,
+        progress: Option<ProgressHook>,
+    ) -> FanoutWorker {
+        FanoutWorker {
+            checkpoint,
+            resume,
+            error: CampaignError::Checkpoint,
+            cache,
+            progress,
+            ..FanoutWorker::new(shard_count, PathBuf::new())
         }
     }
 
@@ -330,7 +345,9 @@ impl FanoutWorker {
         self
     }
 
-    /// Attach a progress hook; it observes shard-local cell counts.
+    /// Attach a progress hook; it observes campaign-global cell counts over
+    /// the whole run (shards found complete on disk advance them without
+    /// calling the hook), and a hook that panics is not called again.
     pub fn with_progress(
         mut self,
         hook: impl Fn(&crate::campaign::CampaignProgress) + Send + Sync + 'static,
@@ -339,182 +356,108 @@ impl FanoutWorker {
         self
     }
 
-    /// Execute this worker's share of the fan-out: reconcile the manifest,
-    /// then claim-and-run shards until this worker's work is done (its home
-    /// shard complete, or — stealing — every shard complete).
+    /// Execute this worker's share of the fan-out: adopt or publish the
+    /// manifest, then claim-and-run shards until this worker's work is done
+    /// (its home shard complete, or — stealing — every shard complete).
     pub fn run(&self, spec: &CampaignSpec) -> Result<WorkerOutcome, CampaignError> {
-        if self.shard_count == 0 {
-            return Err(CampaignError::ZeroShardCount);
-        }
-        if let Some(home) = self.home_shard {
-            if home >= self.shard_count {
-                return Err(CampaignError::ShardIndexOutOfRange {
-                    index: home,
-                    count: self.shard_count,
-                });
-            }
-        }
-        spec.validate()?;
-        std::fs::create_dir_all(&self.checkpoint).map_err(|e| {
-            CampaignError::Fanout(format!("create {}: {e}", self.checkpoint.display()))
-        })?;
-        let model = match self.cache.as_deref() {
-            Some(cache) => CostModel::observed(cache),
-            None => CostModel::uniform(),
-        };
-        let plan = self.reconcile_manifest(spec, &model)?;
-        let shards = CampaignShard::from_plan(spec, plan);
-
-        // Steal order: home shard first, then the remaining shards by
-        // descending estimated load (break the biggest straggler first),
-        // ties by index.
-        let loads = shards[0].shard_plan().shard_loads(&model.row_costs(spec));
-        let mut order: Vec<usize> = (0..self.shard_count).collect();
-        order.sort_by_key(|&k| (Some(k) != self.home_shard, std::cmp::Reverse(loads[k]), k));
-
-        let mut outcome = WorkerOutcome::default();
-        loop {
-            let mut pending: Vec<usize> = order
+        let executed_shards = self.execute(spec)?.executed;
+        Ok(WorkerOutcome {
+            stolen_shards: executed_shards
                 .iter()
                 .copied()
-                .filter(|&k| !self.shard_complete(&shards[k]))
-                .collect();
-            if !self.steal {
-                pending.retain(|&k| Some(k) == self.home_shard);
-            }
-            if pending.is_empty() {
-                break;
-            }
-            let mut progressed = false;
+                .filter(|&k| Some(k) != self.home_shard)
+                .collect(),
+            executed_shards,
+        })
+    }
+
+    /// The claim loop.  Each shard is claimed (through its lease, when there
+    /// is a directory), then its file is read once: a valid report is
+    /// adopted, anything else is re-executed and overwritten — the
+    /// crash-tolerant recovery path.  A shard under a peer's fresh lease is
+    /// retried after the poll interval.
+    pub(crate) fn execute(&self, spec: &CampaignSpec) -> Result<Execution, CampaignError> {
+        spec.validate()?;
+        let costs = match self.cache.as_deref() {
+            Some(cache) => CostModel::observed(cache),
+            None => CostModel::uniform(),
+        }
+        .row_costs(spec);
+        let planned =
+            CheckpointManifest::new(spec, ShardPlan::cost_balanced(&costs, self.shard_count)?);
+        if let Some(home) = self.home_shard.filter(|&home| home >= self.shard_count) {
+            return Err(CampaignError::ShardIndexOutOfRange {
+                index: home,
+                count: self.shard_count,
+            });
+        }
+        let dir = self
+            .checkpoint
+            .as_deref()
+            .map(|root| CheckpointDir::new(root, self.error));
+        // A directory's manifest pins its plan: shard files already on disk
+        // were cut along it, so re-planning would orphan them.
+        let manifest = match &dir {
+            Some(dir) => dir.join(planned, !self.resume)?,
+            None => planned,
+        };
+        let shards = CampaignShard::from_plan(spec, manifest.plan.clone());
+
+        // Claim order: home shard first, then the remaining shards by
+        // descending estimated load (break the biggest straggler first),
+        // ties by index.
+        let loads = manifest.plan.shard_loads(&costs);
+        let mut pending: Vec<usize> = (0..self.shard_count)
+            .filter(|&k| self.steal || Some(k) == self.home_shard)
+            .collect();
+        pending.sort_by_key(|&k| (Some(k) != self.home_shard, std::cmp::Reverse(loads[k]), k));
+
+        // One progress state for the whole run: counts are campaign-global
+        // and a hook that panics stays disabled across shards.
+        let progress = Progress::new(self.progress.clone(), spec.cell_count());
+        let mut run = Execution::default();
+        while !pending.is_empty() {
+            let mut waiting = Vec::new();
             for &k in &pending {
-                let Some(lease) = ShardLease::try_claim(
-                    &self.checkpoint,
-                    k,
-                    &self.worker_id,
-                    self.lease_timeout,
-                )?
-                else {
-                    continue; // fresh lease held by a live peer
-                };
-                // Re-check under the lease: the previous holder may have
-                // published between our scan and the claim.
-                if !self.shard_complete(&shards[k]) {
-                    let report =
-                        shards[k].run_with(self.progress.as_ref(), self.cache.as_deref())?;
-                    write_checkpoint_file(
-                        &self.checkpoint.join(shard_file_name(k)),
-                        &report.to_json(),
-                    )?;
-                    outcome.executed_shards.push(k);
-                    if Some(k) != self.home_shard {
-                        outcome.stolen_shards.push(k);
-                    }
+                let lease = dir
+                    .as_ref()
+                    .map(|d| {
+                        ShardLease::try_claim(d.root(), k, &self.worker_id, self.lease_timeout)
+                    })
+                    .transpose()?;
+                if let Some(None) = lease {
+                    waiting.push(k); // fresh lease held by a live peer
+                    continue;
                 }
-                lease.release();
-                progressed = true;
+                let found = match &dir {
+                    Some(dir) if self.resume => dir.load_shard(&manifest, k),
+                    _ => ShardFile::Absent,
+                };
+                let report = if let ShardFile::Valid(report) = found {
+                    progress.skip(shards[k].cell_count());
+                    run.loaded.push(k);
+                    *report
+                } else {
+                    let report = shards[k].run_reporting(&progress, self.cache.as_deref())?;
+                    if let Some(dir) = &dir {
+                        dir.store_shard(&report)?;
+                    }
+                    run.executed.push(k);
+                    report
+                };
+                drop(lease);
+                run.reports.push(report);
             }
-            if !progressed {
+            if waiting.len() == pending.len() {
                 // Everything unfinished is freshly leased by live peers:
                 // wait for reports to land or leases to go stale.
                 std::thread::sleep(self.poll_interval);
             }
+            pending = waiting;
         }
-        outcome.executed_shards.sort_unstable();
-        outcome.stolen_shards.sort_unstable();
-        Ok(outcome)
-    }
-
-    /// Adopt the directory's manifest, or plan the partition and publish
-    /// one.  Publication is atomic (tmp + `hard_link`): however many
-    /// workers arrive at an empty directory simultaneously, exactly one
-    /// manifest wins and every other worker adopts its plan — the fleet
-    /// never splits across two partitions.
-    fn reconcile_manifest(
-        &self,
-        spec: &CampaignSpec,
-        model: &CostModel<'_>,
-    ) -> Result<crate::shard::ShardPlan, CampaignError> {
-        let path = self.checkpoint.join(MANIFEST_FILE);
-        for _ in 0..8 {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                let found = CheckpointManifest::from_json(&text).map_err(|e| {
-                    CampaignError::Fanout(format!(
-                        "unreadable manifest {}: {e}; delete the directory to start over",
-                        path.display()
-                    ))
-                })?;
-                if found.spec != *spec || found.shard_count != self.shard_count {
-                    return Err(CampaignError::Fanout(format!(
-                        "{} belongs to a different campaign or shard count; \
-                         refusing to join it",
-                        self.checkpoint.display()
-                    )));
-                }
-                found.plan.validate(spec.traces.len()).map_err(|reason| {
-                    CampaignError::Fanout(format!(
-                        "manifest {} carries an invalid partition plan ({reason}); \
-                         delete the directory to start over",
-                        path.display()
-                    ))
-                })?;
-                return Ok(found.plan);
-            }
-            let plan = crate::shard::ShardPlan::for_spec(spec, self.shard_count, model)?;
-            let manifest = CheckpointManifest {
-                schema_version: shard_wire_version(spec, &plan),
-                shard_count: self.shard_count,
-                spec: spec.clone(),
-                plan,
-            };
-            let tmp = self.checkpoint.join(format!(
-                "{MANIFEST_FILE}.tmp.{}.{}",
-                std::process::id(),
-                LEASE_TMP_SEQ.fetch_add(1, Ordering::Relaxed),
-            ));
-            std::fs::write(&tmp, serde::json::to_string_pretty(&manifest))
-                .map_err(|e| CampaignError::Fanout(format!("write {}: {e}", tmp.display())))?;
-            match std::fs::hard_link(&tmp, &path) {
-                Ok(()) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Ok(manifest.plan);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    // Lost the publish race; adopt the winner's manifest on
-                    // the next pass.
-                    let _ = std::fs::remove_file(&tmp);
-                }
-                Err(e) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(CampaignError::Fanout(format!(
-                        "publish manifest {}: {e}",
-                        path.display()
-                    )));
-                }
-            }
-        }
-        Err(CampaignError::Fanout(format!(
-            "manifest {} kept appearing and vanishing; giving up",
-            path.display()
-        )))
-    }
-
-    /// Whether `shard`'s report file exists and still belongs to this
-    /// partition.  Corrupt, foreign or plan-mismatched files count as
-    /// incomplete — the shard is re-claimed and the file overwritten, which
-    /// is the crash-tolerant re-execution path.
-    fn shard_complete(&self, shard: &CampaignShard) -> bool {
-        let path = self.checkpoint.join(shard_file_name(shard.shard_index()));
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return false;
-        };
-        let Ok(report) = ShardReport::from_json(&text) else {
-            return false;
-        };
-        report.shard_index == shard.shard_index()
-            && report.shard_count == shard.shard_count()
-            && report.spec == *shard.spec()
-            && report.plan == *shard.shard_plan()
-            && report.check().is_ok()
+        run.executed.sort_unstable();
+        run.loaded.sort_unstable();
+        Ok(run)
     }
 }
 
@@ -546,13 +489,15 @@ pub struct MergeOutcome {
 /// report.
 ///
 /// The coordinator trusts nothing it reads: the manifest must decode and
-/// carry a structurally-valid plan; each shard file must decode, match the
-/// manifest's spec **and plan** (a decodable shard cut along a different
-/// partition — a mixed-plan directory — is refused immediately with
-/// [`CampaignError::ShardSetMismatch`], even in waiting mode, because no
-/// amount of waiting repairs it), and pass the same payload self-checks as
-/// [`CampaignReport::merge`].  Corrupt or missing shard files, by contrast,
-/// are *waitable*: a live fleet overwrites them via stale-lease reclaim.
+/// carry a structurally-valid plan over its shard count; each shard file
+/// must decode, match the manifest's spec **and plan** (a decodable shard
+/// cut along a different partition — a mixed-plan directory — is refused
+/// immediately with [`CampaignError::ShardSetMismatch`], even in waiting
+/// mode, because no amount of waiting repairs it), and pass the same
+/// payload self-checks as [`CampaignReport::merge`].  Corrupt or missing
+/// shard files, by contrast, are *waitable*: a live fleet overwrites them
+/// via stale-lease reclaim.  A shard file that loaded is not read again
+/// while the coordinator waits for the rest.
 #[derive(Debug, Clone)]
 pub struct MergeCoordinator {
     checkpoint: PathBuf,
@@ -584,53 +529,40 @@ impl MergeCoordinator {
 
     /// Watch (per the wait policy), validate and merge.
     pub fn run(&self) -> Result<MergeOutcome, CampaignError> {
-        let manifest_path = self.checkpoint.join(MANIFEST_FILE);
-        let text = std::fs::read_to_string(&manifest_path).map_err(|e| {
+        let dir = CheckpointDir::new(&self.checkpoint, CampaignError::Fanout);
+        let manifest = dir.read_manifest()?.ok_or_else(|| {
             CampaignError::Fanout(format!(
-                "no readable manifest at {}: {e}; workers write it when they start",
-                manifest_path.display()
+                "no readable manifest at {}; workers write it when they start",
+                self.checkpoint.join(MANIFEST_FILE).display()
             ))
         })?;
-        let manifest = CheckpointManifest::from_json(&text).map_err(|e| {
-            CampaignError::Fanout(format!(
-                "unreadable manifest {}: {e}; delete the directory to start over",
-                manifest_path.display()
-            ))
-        })?;
-        manifest
-            .plan
-            .validate(manifest.spec.traces.len())
-            .map_err(|reason| {
-                CampaignError::Fanout(format!(
-                    "manifest {} carries an invalid partition plan ({reason})",
-                    manifest_path.display()
-                ))
-            })?;
-        if manifest.plan.shard_count() != manifest.shard_count {
-            return Err(CampaignError::Fanout(format!(
-                "manifest {} plan covers {} shards but claims {}",
-                manifest_path.display(),
-                manifest.plan.shard_count(),
-                manifest.shard_count
-            )));
-        }
         let deadline = match self.wait {
             MergeWait::Timeout(limit) => Some(Instant::now() + limit),
             _ => None,
         };
+        let mut reports: Vec<Option<ShardReport>> = vec![None; manifest.shard_count];
         loop {
-            let mut reports = Vec::with_capacity(manifest.shard_count);
             let mut missing = Vec::new();
-            for index in 0..manifest.shard_count {
-                match self.load_shard(index, &manifest)? {
-                    Some(report) => reports.push(report),
-                    None => missing.push(index),
+            for (index, slot) in reports.iter_mut().enumerate() {
+                if slot.is_some() {
+                    continue;
+                }
+                match dir.load_shard(&manifest, index) {
+                    ShardFile::Valid(report) => *slot = Some(*report),
+                    ShardFile::Absent => missing.push(index),
+                    ShardFile::Foreign => {
+                        return Err(CampaignError::ShardSetMismatch(format!(
+                            "{} was cut along a different campaign or partition plan than \
+                             the manifest; refusing to merge a mixed-plan directory",
+                            dir.shard_path(index).display()
+                        )))
+                    }
                 }
             }
             if missing.is_empty() {
-                let report = CampaignReport::merge(&reports)?;
+                let reports: Vec<ShardReport> = reports.into_iter().flatten().collect();
                 return Ok(MergeOutcome {
-                    report,
+                    report: CampaignReport::merge(&reports)?,
                     shard_count: manifest.shard_count,
                 });
             }
@@ -655,38 +587,6 @@ impl MergeCoordinator {
             std::thread::sleep(self.poll_interval);
         }
     }
-
-    /// Load shard `index` if its file is present and belongs to the
-    /// manifest's partition.  Absent/corrupt files are `None` (waitable);
-    /// a decodable file from a *different* partition is a hard refusal.
-    fn load_shard(
-        &self,
-        index: usize,
-        manifest: &CheckpointManifest,
-    ) -> Result<Option<ShardReport>, CampaignError> {
-        let path = self.checkpoint.join(shard_file_name(index));
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return Ok(None);
-        };
-        let Ok(report) = ShardReport::from_json(&text) else {
-            return Ok(None); // corrupt: a worker will re-run and overwrite it
-        };
-        if report.spec != manifest.spec
-            || report.plan != manifest.plan
-            || report.shard_count != manifest.shard_count
-            || report.shard_index != index
-        {
-            return Err(CampaignError::ShardSetMismatch(format!(
-                "{} was cut along a different campaign or partition plan than \
-                 the manifest; refusing to merge a mixed-plan directory",
-                path.display()
-            )));
-        }
-        if report.check().is_err() {
-            return Ok(None); // malformed payload: waitable, like corrupt
-        }
-        Ok(Some(report))
-    }
 }
 
 #[cfg(test)]
@@ -694,7 +594,9 @@ mod tests {
     use super::*;
     use crate::campaign::CampaignBuilder;
     use crate::policy::PolicyKind;
+    use crate::shard::ShardedCampaignRunner;
     use hc_trace::SpecBenchmark;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let path =
@@ -831,11 +733,79 @@ mod tests {
         let outcome = FanoutWorker::new(2, &dir).run(&spec).expect("worker run");
         assert_eq!(outcome.executed_shards, vec![0, 1]);
         let merged = MergeCoordinator::new(&dir).run().expect("merge");
-        let direct = crate::shard::ShardedCampaignRunner::new(2)
+        let direct = ShardedCampaignRunner::new(2)
             .run(&spec)
             .expect("in-process sharded run");
         assert_eq!(merged.report.to_json(), direct.report.to_json());
         assert_eq!(merged.shard_count, 2);
+
+        // A worker-written directory resumes in the runner without
+        // executing anything...
+        let resumed = ShardedCampaignRunner::new(2)
+            .with_checkpoint(&dir)
+            .resume(true)
+            .run(&spec)
+            .expect("runner resumes a worker's directory");
+        assert!(resumed.executed_shards.is_empty());
+        assert_eq!(resumed.resumed_shards, vec![0, 1]);
+        assert_eq!(resumed.report.to_json(), direct.report.to_json());
+
+        // ...and a runner-written directory is complete for a worker and
+        // merges to the same bytes.
+        let runner_dir = tmp_dir("solo_runner");
+        ShardedCampaignRunner::new(2)
+            .with_checkpoint(&runner_dir)
+            .run(&spec)
+            .expect("checkpointed runner");
+        let joined = FanoutWorker::new(2, &runner_dir)
+            .run(&spec)
+            .expect("worker joins a runner's directory");
+        assert!(joined.executed_shards.is_empty());
+        let merged = MergeCoordinator::new(&runner_dir).run().expect("merge");
+        assert_eq!(merged.report.to_json(), direct.report.to_json());
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&runner_dir);
+    }
+
+    #[test]
+    fn a_workers_hook_sees_campaign_global_counts_and_stays_disabled_after_a_panic() {
+        let spec = spec(6);
+        let counts = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&counts);
+        let dir = tmp_dir("progress");
+        FanoutWorker::new(4, &dir)
+            .with_progress(move |p| {
+                seen.lock()
+                    .unwrap()
+                    .push((p.completed_cells, p.total_cells))
+            })
+            .run(&spec)
+            .expect("worker run");
+        let counts = counts.lock().unwrap().clone();
+        assert_eq!(counts.len(), 6);
+        let mut completed: Vec<usize> = counts.iter().map(|&(done, _)| done).collect();
+        completed.sort_unstable();
+        assert_eq!(
+            completed,
+            (1..=6).collect::<Vec<_>>(),
+            "counts never restart"
+        );
+        assert!(counts.iter().all(|&(_, total)| total == 6));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // One progress state per run: a hook that panics is called once,
+        // not once per shard.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let dir = tmp_dir("progress_panic");
+        FanoutWorker::new(4, &dir)
+            .with_progress(move |_| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                panic!("user hook exploded");
+            })
+            .run(&spec)
+            .expect("run survives a panicking hook");
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

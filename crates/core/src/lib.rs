@@ -18,7 +18,9 @@
 //! * [`fanout`] — multi-process shard fan-out over one checkpoint
 //!   directory: lease-file claims with heartbeat renewal and staleness
 //!   reclaim, cost-steered work-stealing, and a merge coordinator whose
-//!   report is byte-identical to the single-process run.
+//!   report is byte-identical to the single-process run.  The in-process
+//!   sharded runner is the same claim loop run solo; all three share one
+//!   manifest reader, shard loader and shard writer.
 //! * [`cache`] — the content-addressed, on-disk [`CellCache`]: repeated
 //!   campaigns replay cached cells instead of re-simulating, with
 //!   byte-identical reports either way.  Concurrent misses on the same key
@@ -52,6 +54,7 @@
 
 pub mod cache;
 pub mod campaign;
+mod checkpoint;
 pub mod experiment;
 pub mod fanout;
 pub mod figures;

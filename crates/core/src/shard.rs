@@ -26,7 +26,11 @@
 //! **checkpoint/resume**: with a checkpoint directory configured, every
 //! completed shard is written to `shard_NNNN.json` next to a `campaign.json`
 //! manifest, and a resumed run loads (and skips) every shard whose file
-//! still matches the spec.
+//! still matches the spec.  It is the fan-out claim loop
+//! ([`FanoutWorker`]) run solo over every shard, so the runner, a fleet of
+//! workers and the [`MergeCoordinator`](crate::fanout::MergeCoordinator)
+//! share one checkpoint protocol and can take over each other's
+//! directories.
 //!
 //! ```no_run
 //! use hc_core::campaign::CampaignBuilder;
@@ -58,9 +62,10 @@ use crate::campaign::{
     decode_versioned, report_wire_version, run_spec_rows, BaselineRun, CampaignCell, CampaignError,
     CampaignProgress, CampaignReport, CampaignSpec, Progress, ProgressHook,
 };
+use crate::fanout::FanoutWorker;
 use crate::policy::PolicyKind;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Version of the [`ShardReport`] wire schema, independent of the report and
@@ -90,6 +95,14 @@ pub const LEGACY_SHARD_SCHEMA_VERSION: u32 = 1;
 /// (see [`SHARD_SCHEMA_VERSION`]).
 pub const SCENARIO_SHARD_SCHEMA_VERSION: u32 = 2;
 
+/// Every shard wire version a decoder accepts (shard reports and checkpoint
+/// manifests alike).
+pub(crate) const SHARD_WIRE_VERSIONS: [u32; 3] = [
+    LEGACY_SHARD_SCHEMA_VERSION,
+    SCENARIO_SHARD_SCHEMA_VERSION,
+    SHARD_SCHEMA_VERSION,
+];
+
 /// The shard wire version for a (spec, plan) pair: v3 once the partition is
 /// cost-balanced, otherwise legacy v1 while the scenario axis is unused and
 /// v2 beyond.
@@ -101,6 +114,29 @@ pub(crate) fn shard_wire_version(spec: &CampaignSpec, plan: &ShardPlan) -> u32 {
         }
         ShardStrategy::RoundRobin => SCENARIO_SHARD_SCHEMA_VERSION,
     }
+}
+
+/// Decode a shard wire document — a [`ShardReport`] or a checkpoint
+/// manifest — checking its schema version first.
+pub(crate) fn decode_shard_doc<T: Deserialize>(text: &str) -> Result<T, CampaignError> {
+    let value = decode_versioned(text, &SHARD_WIRE_VERSIONS)?;
+    T::from_value(&value).map_err(|e| CampaignError::Decode(e.to_string()))
+}
+
+/// The `plan` of a decoded shard wire document.  v1/v2 documents predate
+/// explicit plans: round-robin was the only partition, so the plan is
+/// implied by the shard count.
+pub(crate) fn decode_plan(
+    m: &[(String, serde::Value)],
+    schema_version: u32,
+    spec: &CampaignSpec,
+    shard_count: usize,
+) -> Result<ShardPlan, serde::Error> {
+    if schema_version >= SHARD_SCHEMA_VERSION {
+        return serde::de_field(m, "plan");
+    }
+    ShardPlan::round_robin(spec.traces.len(), shard_count.max(1))
+        .map_err(|e| serde::Error::custom(e.to_string()))
 }
 
 /// How a [`ShardPlan`] assigned rows to shards.
@@ -398,8 +434,8 @@ impl CampaignShard {
     }
 
     /// [`CampaignShard::run`] with an optional progress hook.  The hook sees
-    /// *shard-local* cell counts; [`ShardedCampaignRunner`] remaps them to
-    /// campaign-global counts.
+    /// *shard-local* cell counts; [`ShardedCampaignRunner`] and
+    /// [`FanoutWorker`] report campaign-global counts instead.
     pub fn run_with_progress(
         &self,
         progress: Option<&ProgressHook>,
@@ -418,8 +454,8 @@ impl CampaignShard {
         self.run_reporting(&Progress::new(progress.cloned(), self.cell_count()), cache)
     }
 
-    /// Execute this shard, delivering progress through `progress` (which a
-    /// [`ShardedCampaignRunner`] shares across all of a run's shards).
+    /// Execute this shard, delivering progress through `progress` (which
+    /// the claim loop shares across all of a run's shards).
     /// Rows run through the same engine as [`CampaignRunner::run`], so
     /// shard cache keys match whole-campaign keys.
     pub(crate) fn run_reporting(
@@ -528,14 +564,7 @@ impl Deserialize for ShardReport {
         let schema_version: u32 = serde::de_field(m, "schema_version")?;
         let shard_count: usize = serde::de_field(m, "shard_count")?;
         let spec: CampaignSpec = serde::de_field(m, "spec")?;
-        let plan = if schema_version >= SHARD_SCHEMA_VERSION {
-            serde::de_field(m, "plan")?
-        } else {
-            // v1/v2 shards predate explicit plans: round-robin was the only
-            // partition, so the plan is fully implied by the shard count.
-            ShardPlan::round_robin(spec.traces.len(), shard_count.max(1))
-                .map_err(|e| serde::Error::custom(e.to_string()))?
-        };
+        let plan = decode_plan(m, schema_version, &spec, shard_count)?;
         Ok(ShardReport {
             schema_version,
             shard_index: serde::de_field(m, "shard_index")?,
@@ -560,15 +589,7 @@ impl ShardReport {
     /// Decode from JSON (legacy v1/v2 or plan-aware v3), checking the shard
     /// schema version first.
     pub fn from_json(text: &str) -> Result<ShardReport, CampaignError> {
-        let value = decode_versioned(
-            text,
-            &[
-                LEGACY_SHARD_SCHEMA_VERSION,
-                SCENARIO_SHARD_SCHEMA_VERSION,
-                SHARD_SCHEMA_VERSION,
-            ],
-        )?;
-        Deserialize::from_value(&value).map_err(|e| CampaignError::Decode(e.to_string()))
+        decode_shard_doc(text)
     }
 
     /// Whether this shard has baselines for its rows.
@@ -657,10 +678,7 @@ impl CampaignReport {
     pub fn merge(shards: &[ShardReport]) -> Result<CampaignReport, CampaignError> {
         let first = shards.first().ok_or(CampaignError::NoShards)?;
         for shard in shards {
-            if shard.schema_version != LEGACY_SHARD_SCHEMA_VERSION
-                && shard.schema_version != SCENARIO_SHARD_SCHEMA_VERSION
-                && shard.schema_version != SHARD_SCHEMA_VERSION
-            {
+            if !SHARD_WIRE_VERSIONS.contains(&shard.schema_version) {
                 return Err(CampaignError::UnsupportedSchemaVersion {
                     found: shard.schema_version,
                     supported: SHARD_SCHEMA_VERSION,
@@ -745,86 +763,6 @@ impl CampaignReport {
     }
 }
 
-/// The checkpoint manifest written next to the shard files, so a resumed run
-/// can refuse a directory that belongs to a different campaign before
-/// touching any shard.  The manifest also **pins the partition plan**: a
-/// resumed run re-executes the manifest's plan even if cost observations
-/// have changed since (re-planning mid-campaign would orphan completed
-/// shard files).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CheckpointManifest {
-    pub(crate) schema_version: u32,
-    pub(crate) shard_count: usize,
-    pub(crate) spec: CampaignSpec,
-    pub(crate) plan: ShardPlan,
-}
-
-impl CheckpointManifest {
-    /// Decode a manifest document, accepting every shard wire version.
-    pub(crate) fn from_json(text: &str) -> Result<CheckpointManifest, CampaignError> {
-        let value = decode_versioned(
-            text,
-            &[
-                LEGACY_SHARD_SCHEMA_VERSION,
-                SCENARIO_SHARD_SCHEMA_VERSION,
-                SHARD_SCHEMA_VERSION,
-            ],
-        )?;
-        Deserialize::from_value(&value).map_err(|e| CampaignError::Decode(e.to_string()))
-    }
-}
-
-impl Serialize for CheckpointManifest {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            (
-                "schema_version".to_string(),
-                serde::Value::UInt(self.schema_version as u64),
-            ),
-            (
-                "shard_count".to_string(),
-                Serialize::to_value(&self.shard_count),
-            ),
-            ("spec".to_string(), Serialize::to_value(&self.spec)),
-        ];
-        if self.schema_version >= SHARD_SCHEMA_VERSION {
-            fields.push(("plan".to_string(), Serialize::to_value(&self.plan)));
-        }
-        serde::Value::Map(fields)
-    }
-}
-
-impl Deserialize for CheckpointManifest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for struct CheckpointManifest"))?;
-        let schema_version: u32 = serde::de_field(m, "schema_version")?;
-        let shard_count: usize = serde::de_field(m, "shard_count")?;
-        let spec: CampaignSpec = serde::de_field(m, "spec")?;
-        let plan = if schema_version >= SHARD_SCHEMA_VERSION {
-            serde::de_field(m, "plan")?
-        } else {
-            ShardPlan::round_robin(spec.traces.len(), shard_count.max(1))
-                .map_err(|e| serde::Error::custom(e.to_string()))?
-        };
-        Ok(CheckpointManifest {
-            schema_version,
-            shard_count,
-            spec,
-            plan,
-        })
-    }
-}
-
-/// Name of the manifest file inside a checkpoint directory.
-pub(crate) const MANIFEST_FILE: &str = "campaign.json";
-
-/// File name for one shard's checkpoint.
-pub(crate) fn shard_file_name(index: usize) -> String {
-    format!("shard_{index:04}.json")
-}
-
 /// What a sharded run did: the merged report plus which shards were actually
 /// simulated and which were loaded from the checkpoint directory.
 #[derive(Debug, Clone, PartialEq)]
@@ -837,12 +775,17 @@ pub struct ShardedRunOutcome {
     pub resumed_shards: Vec<usize>,
 }
 
-/// Drives a whole shard partition — sequentially over shards, with the
-/// streaming parallel fan-out *inside* each shard — with optional
-/// checkpointing and resume.
+/// Drives a whole shard partition with optional checkpointing and resume,
+/// then merges the shards in memory.
 ///
-/// Partitioning is **cost-model-driven**: the runner plans with
-/// [`ShardPlan::for_spec`], so with a [`CellCache`] attached
+/// The runner is a solo [`FanoutWorker`]: one claim loop over every shard,
+/// each shard's rows fanned out in parallel *inside* it by the streaming grid
+/// engine.  With a checkpoint directory it claims each shard's lease like
+/// any fleet worker, so it can share a directory with running workers, and
+/// a resumed run adopts valid shard files whoever wrote them.
+///
+/// Partitioning is **cost-model-driven**: the runner plans as
+/// [`ShardPlan::for_spec`] does, so with a [`CellCache`] attached
 /// ([`ShardedCampaignRunner::with_cache`]) rows are LPT-packed by their
 /// recorded simulation times, and without one (no observations) the plan
 /// canonicalises to the legacy round-robin partition — wire formats,
@@ -920,147 +863,25 @@ impl ShardedCampaignRunner {
 
     /// Execute (or resume) the partition and merge the shards.
     pub fn run(&self, spec: &CampaignSpec) -> Result<ShardedRunOutcome, CampaignError> {
-        // Plan with observed costs when a cache is attached (uniform costs —
-        // and therefore the canonical round-robin plan — otherwise).
-        let model = match self.cache.as_deref() {
-            Some(cache) => CostModel::observed(cache),
-            None => CostModel::uniform(),
-        };
-        let mut plan = ShardPlan::for_spec(spec, self.shard_count, &model)?;
-        if let Some(dir) = &self.checkpoint {
-            // A resumed directory pins its original plan: completed shard
-            // files were cut along it, so re-planning would orphan them.
-            plan = self.prepare_checkpoint_dir(dir, spec, plan)?;
-        }
-        let shards = CampaignShard::from_plan(spec, plan);
-
-        // One progress state for the whole run: counts are campaign-global,
-        // resumed shards advance them without firing the hook per cell, and
-        // a hook that panics is disabled for the rest of the *run*, not
-        // re-tried on every shard.
-        let progress = Progress::new(self.progress.clone(), spec.cell_count());
-
-        let mut reports = Vec::with_capacity(shards.len());
-        let mut executed_shards = Vec::new();
-        let mut resumed_shards = Vec::new();
-        for shard in &shards {
-            if let Some(report) = self.try_resume_shard(shard)? {
-                progress.skip(shard.cell_count());
-                resumed_shards.push(shard.shard_index());
-                reports.push(report);
-                continue;
-            }
-            let report = shard.run_reporting(&progress, self.cache.as_deref())?;
-            if let Some(dir) = &self.checkpoint {
-                write_checkpoint_file(
-                    &dir.join(shard_file_name(shard.shard_index())),
-                    &report.to_json(),
-                )?;
-            }
-            executed_shards.push(shard.shard_index());
-            reports.push(report);
-        }
-
-        Ok(ShardedRunOutcome {
-            report: CampaignReport::merge(&reports)?,
-            executed_shards,
-            resumed_shards,
-        })
-    }
-
-    /// Create the checkpoint directory and reconcile its manifest: a resumed
-    /// run refuses a directory whose manifest belongs to a different
-    /// campaign or shard count, **adopts** a matching manifest's partition
-    /// plan (completed shard files were cut along it), and a fresh run
-    /// overwrites the manifest with the newly planned partition.
-    fn prepare_checkpoint_dir(
-        &self,
-        dir: &Path,
-        spec: &CampaignSpec,
-        planned: ShardPlan,
-    ) -> Result<ShardPlan, CampaignError> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CampaignError::Checkpoint(format!("create {}: {e}", dir.display())))?;
-        let manifest_path = dir.join(MANIFEST_FILE);
-        if self.resume {
-            if let Ok(text) = std::fs::read_to_string(&manifest_path) {
-                // An undecodable manifest is refused like a foreign one (and
-                // with the file named, so the failure is actionable) — unlike
-                // corrupt *shard* files, whose loss only costs a re-run, a
-                // damaged manifest means the directory can't be trusted.
-                let found = CheckpointManifest::from_json(&text).map_err(|e| {
-                    CampaignError::Checkpoint(format!(
-                        "unreadable manifest {}: {e}; delete it to start over",
-                        manifest_path.display()
-                    ))
-                })?;
-                if found.spec != *spec || found.shard_count != self.shard_count {
-                    return Err(CampaignError::Checkpoint(format!(
-                        "{} belongs to a different campaign or shard count; \
-                         refusing to resume over it",
-                        dir.display()
-                    )));
-                }
-                found.plan.validate(spec.traces.len()).map_err(|reason| {
-                    CampaignError::Checkpoint(format!(
-                        "manifest {} carries an invalid partition plan ({reason}); \
-                         delete the directory to start over",
-                        manifest_path.display()
-                    ))
-                })?;
-                return Ok(found.plan);
-            }
-        }
-        let manifest = CheckpointManifest {
-            schema_version: shard_wire_version(spec, &planned),
-            shard_count: self.shard_count,
-            spec: spec.clone(),
-            plan: planned,
-        };
-        write_checkpoint_file(&manifest_path, &serde::json::to_string_pretty(&manifest))?;
-        Ok(manifest.plan)
-    }
-
-    /// Load one shard's checkpoint file if resuming and the file still
-    /// matches this shard.  An unreadable, corrupt or mismatched file is
-    /// treated as absent (the shard re-runs and the file is overwritten).
-    fn try_resume_shard(
-        &self,
-        shard: &CampaignShard,
-    ) -> Result<Option<ShardReport>, CampaignError> {
-        if !self.resume {
-            return Ok(None);
-        }
-        let Some(dir) = &self.checkpoint else {
+        if self.resume && self.checkpoint.is_none() {
             return Err(CampaignError::Checkpoint(
                 "resume requested without a checkpoint directory".to_string(),
             ));
-        };
-        let path = dir.join(shard_file_name(shard.shard_index()));
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return Ok(None);
-        };
-        let Ok(report) = ShardReport::from_json(&text) else {
-            return Ok(None);
-        };
-        let matches = report.shard_index == shard.shard_index()
-            && report.shard_count == shard.shard_count()
-            && report.spec == *shard.spec()
-            && report.plan == *shard.shard_plan()
-            && report.check().is_ok();
-        Ok(matches.then_some(report))
+        }
+        let run = FanoutWorker::solo(
+            self.shard_count,
+            self.checkpoint.clone(),
+            self.resume,
+            self.cache.clone(),
+            self.progress.clone(),
+        )
+        .execute(spec)?;
+        Ok(ShardedRunOutcome {
+            report: CampaignReport::merge(&run.reports)?,
+            executed_shards: run.executed,
+            resumed_shards: run.loaded,
+        })
     }
-}
-
-/// Write a checkpoint file through a temporary sibling + rename, so a crash
-/// mid-write never leaves a truncated JSON file a later resume would trip
-/// over.
-pub(crate) fn write_checkpoint_file(path: &Path, contents: &str) -> Result<(), CampaignError> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, contents)
-        .map_err(|e| CampaignError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| CampaignError::Checkpoint(format!("rename to {}: {e}", path.display())))
 }
 
 #[cfg(test)]
