@@ -18,6 +18,9 @@
 //!   from the in-memory index; legacy walks one file per entry, so this is
 //!   the scaling win of the segment layout.  The `pack()` migration of the
 //!   same 10k-entry legacy store is timed alongside.
+//! * reopen at 10k entries — `CellCache::open` of the packed store, once
+//!   loading its `index.json` snapshot and once with the snapshot deleted,
+//!   so the index is rebuilt by scanning every segment record.
 //! * partition balance — per-row wall-clock costs observed by the cold pass
 //!   feed `ShardPlan::cost_balanced`; `max_shard / mean_shard` estimated
 //!   work for that plan vs the legacy round-robin plan quantifies how much
@@ -35,6 +38,7 @@ use hc_core::policy::PolicyKind;
 use hc_core::shard::ShardPlan;
 use hc_core::CellKey;
 use hc_sim::SimStats;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -95,6 +99,28 @@ fn metadata_latency(cache: &CellCache) -> (f64, f64) {
         std::hint::black_box(outcome);
     });
     (stats_secs, gc_secs)
+}
+
+/// Best-of-`SAMPLES` `CellCache::open` latency of the packed store at
+/// `dir`: through its `index.json` snapshot, and by a full segment scan
+/// with the snapshot deleted before each open.
+fn reopen_latency(dir: &Path) -> (f64, f64) {
+    let open = |scan: bool| {
+        let mut best = f64::INFINITY;
+        for _ in 0..SAMPLES {
+            if scan {
+                std::fs::remove_file(dir.join("index.json")).expect("drop snapshot");
+            }
+            let start = Instant::now();
+            let cache = CellCache::open(dir).expect("reopen store");
+            best = best.min(start.elapsed().as_secs_f64());
+            assert_eq!(cache.stats().entries, STORE_ENTRIES);
+            // Dropping a scanned cache writes the snapshot back.
+            drop(cache);
+        }
+        best
+    };
+    (open(false), open(true))
 }
 
 fn main() {
@@ -172,6 +198,9 @@ fn main() {
         packed_store.insert(&key, &SimStats::default(), i);
     }
     let (packed_stats, packed_gc) = metadata_latency(&packed_store);
+    drop(packed_store);
+    let (reopen_snapshot, reopen_scan) = reopen_latency(&store_dir);
+    let packed_store = CellCache::open(&store_dir).expect("reopen 10k store");
     packed_store
         .demote_to_legacy_layout()
         .expect("demote 10k store");
@@ -210,13 +239,15 @@ fn main() {
     println!("cell_cache/gc_10k_legacy       {:>10.6} s", legacy_gc);
     println!("cell_cache/gc_10k_ratio        {:>10.1}x", gc_ratio);
     println!("cell_cache/pack_10k_migration  {:>10.4} s", pack_secs);
+    println!("cell_cache/reopen_10k_snapshot {:>10.4} s", reopen_snapshot);
+    println!("cell_cache/reopen_10k_scan     {:>10.4} s", reopen_scan);
     println!("cell_cache/row_cost_skew       {:>10.2}x max/min", skew);
     println!("cell_cache/rr_max_over_mean    {:>10.4}", rr_ratio);
     println!("cell_cache/lpt_max_over_mean   {:>10.4}", lpt_ratio);
 
     if let Some(path) = std::env::var_os("CELL_CACHE_RECORD") {
         let json = format!(
-            "{{\n  \"suite\": \"{} traces x IR, trace_len {}\",\n  \"cold_run_secs\": {cold:.4},\n  \"warm_run_secs\": {warm:.4},\n  \"warm_speedup\": {speedup:.1},\n  \"legacy_warm_run_secs\": {warm_legacy:.4},\n  \"packed_vs_legacy_warm_replay\": {replay_ratio:.2},\n  \"store_entries\": {STORE_ENTRIES},\n  \"stats_10k_packed_secs\": {packed_stats:.6},\n  \"stats_10k_legacy_secs\": {legacy_stats:.6},\n  \"stats_10k_speedup\": {stats_ratio:.1},\n  \"gc_10k_packed_secs\": {packed_gc:.6},\n  \"gc_10k_legacy_secs\": {legacy_gc:.6},\n  \"gc_10k_speedup\": {gc_ratio:.1},\n  \"pack_10k_migration_secs\": {pack_secs:.4},\n  \"row_cost_skew_max_over_min\": {skew:.2},\n  \"shards\": {SHARDS},\n  \"round_robin_max_over_mean_work\": {rr_ratio:.4},\n  \"cost_balanced_max_over_mean_work\": {lpt_ratio:.4}\n}}\n",
+            "{{\n  \"suite\": \"{} traces x IR, trace_len {}\",\n  \"cold_run_secs\": {cold:.4},\n  \"warm_run_secs\": {warm:.4},\n  \"warm_speedup\": {speedup:.1},\n  \"legacy_warm_run_secs\": {warm_legacy:.4},\n  \"packed_vs_legacy_warm_replay\": {replay_ratio:.2},\n  \"store_entries\": {STORE_ENTRIES},\n  \"stats_10k_packed_secs\": {packed_stats:.6},\n  \"stats_10k_legacy_secs\": {legacy_stats:.6},\n  \"stats_10k_speedup\": {stats_ratio:.1},\n  \"gc_10k_packed_secs\": {packed_gc:.6},\n  \"gc_10k_legacy_secs\": {legacy_gc:.6},\n  \"gc_10k_speedup\": {gc_ratio:.1},\n  \"pack_10k_migration_secs\": {pack_secs:.4},\n  \"reopen_10k_snapshot_secs\": {reopen_snapshot:.4},\n  \"reopen_10k_scan_secs\": {reopen_scan:.4},\n  \"row_cost_skew_max_over_min\": {skew:.2},\n  \"shards\": {SHARDS},\n  \"round_robin_max_over_mean_work\": {rr_ratio:.4},\n  \"cost_balanced_max_over_mean_work\": {lpt_ratio:.4}\n}}\n",
             spec.traces.len(),
             TRACE_LEN,
         );

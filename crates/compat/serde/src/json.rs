@@ -24,11 +24,26 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&value)
 }
 
+/// Deepest nesting of `[` and `{` that [`parse`] accepts.
+///
+/// The parser recurses once per level, so without a bound a document of a
+/// few hundred kilobytes of `[` overflows the stack and aborts the process.
+/// The deepest documents this workspace writes, the report and shard files
+/// of a campaign with phased trace rows and scenario overlays, nest 11
+/// levels; 128 leaves a wide margin for hand-written documents while
+/// keeping the recursion far from any thread's stack limit.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON string into a [`Value`].
+///
+/// Runs in time linear in the length of `s`.  Nesting deeper than
+/// [`MAX_DEPTH`] is an error.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -129,8 +144,10 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -175,14 +192,29 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(Error::custom(format!(
                 "unexpected character at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parse a sequence or map one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, compound: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = compound(self);
+        self.depth -= 1;
+        value
     }
 
     fn seq(&mut self) -> Result<Value, Error> {
@@ -240,56 +272,70 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error::custom("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::custom("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::custom("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::custom("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::custom("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(Error::custom("unknown escape sequence")),
-                    }
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run of plain characters up to the next `"` or `\`
+            // whole.  Both delimiters are ASCII, so the run ends on a char
+            // boundary of `text`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::custom("unterminated string"))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
             }
+            let esc = self
+                .peek()
+                .ok_or_else(|| Error::custom("unterminated escape"))?;
+            self.pos += 1;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => self.unicode_escape()?,
+                _ => return Err(Error::custom("unknown escape sequence")),
+            });
         }
+    }
+
+    /// The character of a `\u` escape whose `\u` is already consumed.  A
+    /// UTF-16 high surrogate must be followed by a `\u` low surrogate, and
+    /// the pair is one character.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let unpaired = || Error::custom("unpaired surrogate in \\u escape");
+        let code = match self.hex4()? {
+            high @ 0xD800..=0xDBFF => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(unpaired());
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(unpaired());
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(unpaired()),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| Error::custom("invalid \\u code point"))
+    }
+
+    /// The four hex digits of a `\u` escape, as a UTF-16 code unit.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::custom("truncated \\u escape"))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| Error::custom("invalid \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| Error::custom("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value, Error> {
@@ -308,8 +354,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -354,5 +399,185 @@ mod tests {
             Value::Float(g) => assert_eq!(f, g),
             other => panic!("expected float, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_escape_decodes() {
+        let v = parse(r#""\"\\\/\b\f\n\r\tAé✓""#).unwrap();
+        assert_eq!(v, Value::Str("\"\\/\u{8}\u{c}\n\r\tAé✓".to_string()));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        let v = parse(r#""a\ud83d\ude00b\uD834\uDD1E""#).unwrap();
+        assert_eq!(v, Value::Str("a😀b𝄞".to_string()));
+    }
+
+    #[test]
+    fn lone_surrogates_are_errors() {
+        for text in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83dA""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83d\"#,
+            r#""\ud83d\u12""#,
+        ] {
+            assert!(parse(text).is_err(), "{text} must be refused");
+        }
+    }
+
+    #[test]
+    fn reversed_surrogate_pairs_are_errors() {
+        assert!(parse(r#""\ude00\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        let maps = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&maps).is_err());
+        // Depth is nesting, not the number of compounds: many siblings at
+        // one level are fine.
+        let wide = format!("[{}[]]", "[[]],".repeat(10 * MAX_DEPTH));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn a_100k_deep_document_is_an_error_not_a_stack_overflow() {
+        // A spawned thread has the default thread stack, which unbounded
+        // recursion over this document overflows, aborting the process.
+        let handle = std::thread::spawn(|| {
+            let text = "[".repeat(100_000) + &"]".repeat(100_000);
+            parse(&text).map(|_| ())
+        });
+        let result = handle.join().expect("the parser thread must not die");
+        let err = result.expect_err("a 100k-deep document must be refused");
+        assert!(err.to_string().contains("nesting"), "{err}");
+    }
+
+    /// A seeded generator of random [`Value`]s (SplitMix64), standing in
+    /// for a property-testing strategy.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Clone>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len() as u64) as usize].clone()
+        }
+
+        /// A scalar in `range`, re-drawn until it is a `char` (the 3-byte
+        /// range contains the surrogates).
+        fn char_in(&mut self, range: std::ops::Range<u32>) -> char {
+            loop {
+                let code = range.start + self.below(u64::from(range.end - range.start)) as u32;
+                if let Some(c) = char::from_u32(code) {
+                    return c;
+                }
+            }
+        }
+
+        /// Escaped and control characters, and 1- to 4-byte UTF-8.
+        fn char(&mut self) -> char {
+            match self.below(6) {
+                0 => self.pick(&['"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{7f}']),
+                1 => self.char_in(0..0x20),
+                2 => self.char_in(0x20..0x80),
+                3 => self.char_in(0x80..0x800),
+                4 => self.char_in(0x800..0x1_0000),
+                _ => self.char_in(0x1_0000..0x11_0000),
+            }
+        }
+
+        fn string(&mut self) -> String {
+            let len = self.pick(&[0, 1, 3, 12]);
+            (0..len).map(|_| self.char()).collect()
+        }
+
+        fn float(&mut self) -> f64 {
+            if self.below(2) == 0 {
+                return self.pick(&[0.0, -0.0, 1.0, -2.5, 1e300, 5e-324, f64::MAX, f64::MIN]);
+            }
+            loop {
+                let f = f64::from_bits(self.next());
+                if f.is_finite() {
+                    return f;
+                }
+            }
+        }
+
+        /// A value nesting at most `depth` more levels.  The encoder writes
+        /// a non-negative `Int` as an unsigned number, which decodes as
+        /// `UInt`, so only negative `Int`s are drawn.
+        fn value(&mut self, depth: u32) -> Value {
+            let kinds = if depth == 0 { 6 } else { 8 };
+            match self.below(kinds) {
+                0 => self
+                    .pick(&[Value::Null, Value::Bool(true), Value::Bool(false)])
+                    .clone(),
+                1 => {
+                    let any = self.next();
+                    Value::UInt(self.pick(&[0, 1, u64::MAX, any]))
+                }
+                2 => {
+                    let negative = (self.next() | 1 << 63) as i64;
+                    Value::Int(self.pick(&[i64::MIN, -1, negative]))
+                }
+                3 => Value::Float(self.float()),
+                4 | 5 => Value::Str(self.string()),
+                6 => {
+                    let len = self.pick(&[0, 1, 4]);
+                    Value::Seq((0..len).map(|_| self.value(depth - 1)).collect())
+                }
+                _ => {
+                    let len = self.pick(&[0, 1, 4]);
+                    Value::Map(
+                        (0..len)
+                            .map(|_| (self.string(), self.value(depth - 1)))
+                            .collect(),
+                    )
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_values_round_trip_compact_and_pretty() {
+        let mut gen = Gen(0x5EED);
+        for case in 0..2_000 {
+            let v = gen.value(4);
+            let compact = to_string(&v);
+            assert_eq!(parse(&compact).unwrap(), v, "case {case}: {compact}");
+            let pretty = to_string_pretty(&v);
+            assert_eq!(parse(&pretty).unwrap(), v, "case {case}: {pretty}");
+        }
+    }
+
+    #[test]
+    fn large_documents_round_trip() {
+        // A decoder that is quadratic in the document size runs for hours
+        // on this document; a linear one takes well under a second.
+        let unit = "héllo wörld ✓ 😀 \"q\" \\ \t ";
+        let text = unit.repeat((4 << 20) / unit.len() + 1);
+        assert!(text.len() >= 4 << 20);
+        let map = (0..100_000u64)
+            .map(|i| (format!("key-{i}-é"), Value::UInt(i)))
+            .collect();
+        let v = Value::Seq(vec![Value::Str(text), Value::Map(map)]);
+        assert_eq!(parse(&to_string(&v)).unwrap(), v);
     }
 }

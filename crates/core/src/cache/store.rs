@@ -669,10 +669,23 @@ impl CellCache {
     /// (simulate, then [`CellLead::publish`]), and a key already being
     /// simulated hands back a [`CellJoin`] to wait on.
     fn claim(&self, key: &CellKey) -> CellClaim<'_> {
-        if let Some(hit) = self.lookup(key) {
-            return CellClaim::Hit(Box::new(hit.stats));
+        let hit = |cell: CachedCell| {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            CellClaim::Hit(Box::new(cell.stats))
+        };
+        if let Some(cell) = self.read_entry(key, true) {
+            return hit(cell);
         }
         let mut flights = lock(&self.flights);
+        if !flights.contains_key(&key.digest) {
+            // A leader that published since the read above has already
+            // left the table, and its entry is indexed: read again under
+            // the table lock, or this caller would simulate the cell twice.
+            if let Some(cell) = self.read_entry(key, true) {
+                return hit(cell);
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         match flights.get(&key.digest) {
             Some(flight) if flight.document == key.document => CellClaim::Join(CellJoin {
                 cache: self,

@@ -59,3 +59,30 @@ fn served_paper_grid_matches_offline_bytes_and_the_golden_snapshot() {
     daemon.join().unwrap().expect("self-drain");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn a_deeply_nested_body_is_refused_and_the_daemon_keeps_serving() {
+    let server = Server::bind(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        ..ServeOptions::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.serve());
+
+    // 200 KB of nesting: without a depth bound the decoder's recursion
+    // overflows the connection thread's stack and aborts the daemon.
+    let body = "[".repeat(100_000) + &"]".repeat(100_000);
+    match client::submit(&addr, &body, |_| {}).expect_err("must reject") {
+        hc_serve::ServeError::Rejected { status, kind, .. } => {
+            assert_eq!(status, 400);
+            assert_eq!(kind, "invalid_spec");
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+
+    let health = client::get(&addr, "/healthz").expect("daemon still serves");
+    assert!(health.contains("\"ok\""), "{health}");
+    client::shutdown(&addr).expect("drain");
+    daemon.join().unwrap().expect("clean exit");
+}
